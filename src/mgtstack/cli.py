@@ -27,6 +27,7 @@ import shlex
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 from .config import load_config_file
 from .corpus import CorpusFormatError, load_corpus
@@ -48,10 +49,17 @@ from .errors import (
     NumericalError,
     UnsupportedCombination,
 )
-from .evaluation import SplitSpec, consistent_sentence_proportion, evaluate_detector, split_dataset
+from .evaluation import (
+    SplitSpec,
+    consistent_sentence_proportion,
+    evaluate_detector,
+    evaluate_scores,
+    require_labels,
+    split_dataset,
+)
 from .retention import FilterConfig
 from .segmentation import load_abbreviations
-from .stacked import StackedDetector, stacked_infer_detail, train_hard_em
+from .stacked import score_corpus, train_hard_em
 from .theory import (
     MixSpec,
     SimConfig,
@@ -149,13 +157,22 @@ def _load_base(args, cfg):
     raise InvalidConfig("missing required option --model (or --adapter)")
 
 
-def _write_json(payload: dict, out_path) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _stacked_report(base, fc, docs, seed):
+    """Metrics report of the two-pass engine over labeled documents."""
+    labels = require_labels(docs)
+    return evaluate_scores([r.score for r in score_corpus(base, docs, fc)], labels, seed=seed)
+
+
+def _write_text(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_json(payload: dict, out_path) -> None:
+    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +220,12 @@ def _cmd_train(args, cfg) -> int:
     model_path = os.path.join(out_dir, "model.json")
     save_model(model, model_path)
     trace_path = os.path.join(out_dir, "trace.jsonl")
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in trace.epochs:
-            fh.write(
-                json.dumps(
-                    {
-                        "epoch": rec.epoch,
-                        "mean_q": rec.mean_q,
-                        "filtered_fraction": rec.filtered_fraction,
-                        "wall_seconds": rec.wall_seconds,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    epochs = "".join(json.dumps(asdict(rec), sort_keys=True) + "\n" for rec in trace.epochs)
+    _write_text(epochs, trace_path)
 
-    stacked = StackedDetector(model, fc)
-    report = evaluate_detector(stacked.score, val_docs, seed=seed)
+    report = _stacked_report(model, fc, val_docs, seed)
     report_path = os.path.join(out_dir, "eval_val.json")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json())
+    _write_text(report.to_json(), report_path)
 
     logger.info("train: %d/%d/%d split, %d epochs", len(train_docs), len(val_docs), len(test_docs), tc.epochs)
     sys.stdout.write(
@@ -235,72 +238,46 @@ def _cmd_train(args, cfg) -> int:
     return EXIT_OK
 
 
-def _detect_rows(base, fc, docs, mode):
-    sd = StackedDetector(base, fc, mode=mode)
-    rows = []
-    for doc in docs:
-        res = stacked_infer_detail(sd, doc)
-        rows.append(
-            {"id": doc.id, "score": res.score, "n_groups": res.n_groups, "n_filtered": res.n_filtered}
-        )
-    return rows
+def _detect_rows(base, fc, docs):
+    return [
+        {"id": doc.id, "score": res.score, "n_groups": res.n_groups, "n_filtered": res.n_filtered}
+        for doc, res in zip(docs, score_corpus(base, docs, fc))
+    ]
 
 
 _WORKER = None
 
 
-def _detect_init(model_path, adapter, timeout, fc_tuple, mode):
-    """Initializer for detect worker processes: build the detector once."""
+def _detect_init(base, fc):
+    """Initializer for detect worker processes: keep the built detector."""
     global _WORKER
-    if adapter:
-        base = ExternalDetector(tuple(shlex.split(str(adapter))), timeout=timeout)
-    else:
-        base = load_model(str(model_path))
-    _WORKER = (base, FilterConfig(*fc_tuple), mode)
+    _WORKER = (base, fc)
 
 
 def _detect_chunk(docs):
-    base, fc, mode = _WORKER
-    return _detect_rows(base, fc, docs, mode)
+    return _detect_rows(*_WORKER, docs)
 
 
 def _cmd_detect(args, cfg) -> int:
     corpus_path = _require(args, cfg, "corpus", "--corpus")
     fc = _filter_config(args, cfg)
-    mode = "training_free" if _resolve(args, cfg, "training_free", False) else "trained"
     jobs = _as_int(_resolve(args, cfg, "jobs", 1), "--jobs")
     abbrev = _abbreviations(args, cfg)
     docs = load_corpus(str(corpus_path), abbreviations=abbrev)
+    base = _load_base(args, cfg)
 
     if jobs > 1 and len(docs) > 1:
-        model_path = _resolve(args, cfg, "model")
-        adapter = _resolve(args, cfg, "adapter")
-        if model_path and adapter:
-            raise InvalidConfig("--model and --adapter are mutually exclusive")
-        if not model_path and not adapter:
-            raise InvalidConfig("missing required option --model (or --adapter)")
-        timeout = _as_float(_resolve(args, cfg, "adapter_timeout", 30.0), "--adapter-timeout")
         n_chunks = min(len(docs), jobs * 4)
         step = -(-len(docs) // n_chunks)
         chunks = [docs[i : i + step] for i in range(0, len(docs), step)]
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_detect_init,
-            initargs=(model_path, adapter, timeout, (fc.r_e, fc.tau, fc.k), mode),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_detect_init, initargs=(base, fc)) as pool:
             chunk_rows = list(pool.map(_detect_chunk, chunks))
         rows = [row for rows_ in chunk_rows for row in rows_]
     else:
-        base = _load_base(args, cfg)
-        rows = _detect_rows(base, fc, docs, mode)
+        rows = _detect_rows(base, fc, docs)
 
-    out_path = _resolve(args, cfg, "out")
     lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+    _write_text(lines, _resolve(args, cfg, "out"))
     return EXIT_OK
 
 
@@ -311,20 +288,10 @@ def _cmd_eval(args, cfg) -> int:
     abbrev = _abbreviations(args, cfg)
     docs = load_corpus(str(corpus_path), abbreviations=abbrev)
     if _resolve(args, cfg, "stacked", False):
-        fc = _filter_config(args, cfg)
-        mode = "training_free" if _resolve(args, cfg, "training_free", False) else "trained"
-        detector = StackedDetector(base, fc, mode=mode)
-        score_fn = detector.score
+        report = _stacked_report(base, _filter_config(args, cfg), docs, seed)
     else:
-        score_fn = base.score
-    report = evaluate_detector(score_fn, docs, seed=seed)
-    out_path = _resolve(args, cfg, "out")
-    text = report.to_json()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        report = evaluate_detector(base.score, docs, seed=seed)
+    _write_text(report.to_json(), _resolve(args, cfg, "out"))
     return EXIT_OK
 
 
@@ -403,18 +370,9 @@ def _cmd_bench(args, cfg) -> int:
     if not docs:
         raise DegenerateDataset("bench corpus is empty")
 
-    sd = StackedDetector(base, fc)
-
-    def time_base() -> float:
+    def timed(run) -> float:
         t0 = time.perf_counter()
-        for doc in docs:
-            base.score(doc.text)
-        return time.perf_counter() - t0
-
-    def time_stacked() -> float:
-        t0 = time.perf_counter()
-        for doc in docs:
-            stacked_infer_detail(sd, doc)
+        run()
         return time.perf_counter() - t0
 
     # Alternate the two arms so clock-speed drift hits both equally, then
@@ -422,8 +380,8 @@ def _cmd_bench(args, cfg) -> int:
     # stretch land entirely on one side and skew the ratio.
     base_times, stacked_times = [], []
     for _ in range(repeats):
-        base_times.append(time_base())
-        stacked_times.append(time_stacked())
+        base_times.append(timed(lambda: [base.score(doc.text) for doc in docs]))
+        stacked_times.append(timed(lambda: score_corpus(base, docs, fc)))
     base_s = min(base_times)
     stacked_s = min(stacked_times)
     _write_json(
@@ -491,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="training_free",
         action="store_const",
         const=True,
-        help="wrap the base detector without any retraining",
+        help="accepted for compatibility; no effect, stacking never retrains",
     )
     _add_model_flags(p)
     _add_filter_flags(p)
@@ -507,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="training_free",
         action="store_const",
         const=True,
-        help="mark the stacked wrapper as training-free",
+        help="accepted for compatibility; no effect, stacking never retrains",
     )
     _add_model_flags(p)
     _add_filter_flags(p)
@@ -548,12 +506,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _JsonFormatter(logging.Formatter):
+    """One JSON object per log line."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return json.dumps({"level": record.levelname, "logger": record.name, "event": record.getMessage()})
+
+
 def _setup_logging(level_name: str) -> None:
     level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
         raise InvalidConfig(f"--log-level must be debug/info/warning/error, got {level_name!r}")
     handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter('{"level": "%(levelname)s", "logger": "%(name)s", "event": %(message)r}'))
+    handler.setFormatter(_JsonFormatter())
     root = logging.getLogger("mgtstack")
     root.handlers[:] = [handler]
     root.setLevel(level)

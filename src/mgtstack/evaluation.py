@@ -262,6 +262,14 @@ def evaluate_scores(
     )
 
 
+def require_labels(docs: Sequence[Document]) -> list[int]:
+    """The documents' labels; raises InvalidConfig if any is missing."""
+    labels = [d.label for d in docs]
+    if any(l is None for l in labels):
+        raise InvalidConfig("evaluation requires labeled documents")
+    return labels
+
+
 def evaluate_detector(
     score_fn: Callable[[str], float],
     docs: Sequence[Document],
@@ -271,8 +279,6 @@ def evaluate_detector(
     seed: int | None = None,
 ) -> EvalReport:
     """Score every labeled document and summarize; unlabeled docs are rejected."""
-    labels = [d.label for d in docs]
-    if any(l is None for l in labels):
-        raise InvalidConfig("evaluation requires labeled documents")
+    labels = require_labels(docs)
     scores = [score_fn(d.text) for d in docs]
     return evaluate_scores(scores, labels, fpr_caps, detector_id, corpus_id, seed)

@@ -20,6 +20,12 @@ from typing import Iterator, Sequence
 from .errors import InvalidConfig
 
 
+def snap_floor(x: float) -> int:
+    """floor(x), with float noise at integer boundaries snapped to the
+    intended value (0.3 * 10 must give 3, not 2)."""
+    return math.floor(x + 1e-9)
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Filtering knobs shared by inference and training.
@@ -43,9 +49,8 @@ class FilterConfig:
 
     def budget(self, n_groups: int) -> int:
         """Maximum number of groups the constrained rule may drop:
-        floor(tau * n_groups), with float noise at integer boundaries snapped
-        to the intended value (0.3 * 10 must budget 3, not 2)."""
-        return math.floor(self.tau * n_groups + 1e-9)
+        floor(tau * n_groups), snapped as in snap_floor."""
+        return snap_floor(self.tau * n_groups)
 
 
 @dataclass(frozen=True)
@@ -119,14 +124,12 @@ def naive_mask(scores: Sequence[float]) -> RetentionMask:
 
 
 def random_mask(n_groups: int, drop_ratio: float, seed: int) -> RetentionMask:
-    """Drop exactly floor(drop_ratio * n_groups) groups chosen uniformly."""
+    """Drop exactly snap_floor(drop_ratio * n_groups) groups chosen uniformly,
+    so a ratio matches the constrained rule's budget for the same tau."""
     if n_groups < 1:
         raise InvalidConfig("n_groups must be positive")
     if not (0.0 <= drop_ratio < 1.0):
         raise InvalidConfig(f"drop_ratio must be in [0, 1), got {drop_ratio!r}")
-    # Same float-noise snap as FilterConfig.budget so a ratio of 0.3 over ten
-    # groups drops three, matching the constrained rule's budget.
-    n_drop = math.floor(drop_ratio * n_groups + 1e-9)
     rng = random.Random(seed)
-    dropped = set(rng.sample(range(n_groups), n_drop))
+    dropped = set(rng.sample(range(n_groups), snap_floor(drop_ratio * n_groups)))
     return RetentionMask(tuple(0 if j in dropped else 1 for j in range(n_groups)))

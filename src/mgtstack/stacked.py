@@ -1,16 +1,20 @@
 """Two-pass stacked inference and hard-EM training.
 
-Inference runs the base detector twice over the same document: once per
-sentence group to decide which groups carry no machine evidence, then once
-over the concatenation of the retained groups.  The latent retention mask is
-never read from labels, only from first-pass scores.
+One corpus-level engine, :func:`score_corpus`, serves every caller.  Pass 1
+scores each sentence group of every document whose filter budget is non-zero,
+all in one ``score_batch`` call, and applies the constrained retention rule
+per document.  Pass 2 scores every retained text in one more ``score_batch``
+call.  The latent retention mask is never read from labels, only from
+first-pass scores.  A document with a zero budget, or whose mask keeps every
+group, is rescored as its own text, so with tau = 0 the wrapper collapses
+exactly onto the base detector.  Each group and each retained text is
+scored exactly once.
 
-Training alternates a hard E-step (recompute masks for the current batch with
-the current parameters) with a single gradient-ascent M-step on the masked
-texts, masks held constant.  With tau = 0 nothing can be filtered and both
-inference and training collapse exactly onto the plain detector: the second
-pass receives the original document text, and the parameter trajectory is
-bitwise identical to plain training under the same seed.
+Training alternates a hard E-step (pass 1 over the current batch with the
+current parameters) with a single gradient-ascent M-step on the retained
+texts, masks held constant.  With tau = 0 nothing can be filtered and the
+parameter trajectory is bitwise identical to plain training under the same
+seed.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 from .detectors import (
@@ -26,6 +31,7 @@ from .detectors import (
     TrainConfig,
     bin_log_likelihood,
     grad_update,
+    score_batch,
 )
 from .errors import DegenerateDataset, InvalidConfig
 from .retention import FilterConfig, RetentionMask, compute_mask
@@ -40,65 +46,80 @@ class StackedResult:
     mask: RetentionMask
 
 
+def first_pass(
+    base: Detector, docs: Sequence[Document], cfg: FilterConfig
+) -> list[tuple[str, RetentionMask]]:
+    """Pass 1 over a corpus: (retained text, mask) for each document.
+
+    Label-agnostic by construction; this is the E-step used verbatim by both
+    inference and training.
+    """
+    subseqs = [group_subsequences(doc, cfg.k) for doc in docs]
+    filtering = [cfg.budget(len(subseq)) > 0 for subseq in subseqs]
+    texts = [
+        text
+        for doc, subseq, on in zip(docs, subseqs, filtering)
+        if on
+        for text in group_texts(doc, subseq)
+    ]
+    scores = iter(score_batch(base, texts))
+    out = []
+    for doc, subseq, on in zip(docs, subseqs, filtering):
+        if not on:
+            # Nothing may be dropped, so the document skips pass 1 and pass 2
+            # sees it untouched: the wrapper reduces to the base detector.
+            out.append((doc.text, RetentionMask((1,) * len(subseq))))
+            continue
+        mask = compute_mask(list(islice(scores, len(subseq))), cfg)
+        # A kept-everything mask means the retained text IS the document;
+        # use the original so degeneration is exact for any base detector.
+        out.append((doc.text if all(mask) else reconstruct(doc, subseq, mask), mask))
+    return out
+
+
+def score_corpus(
+    base: Detector, docs: Sequence[Document], cfg: FilterConfig
+) -> list[StackedResult]:
+    """Two-pass stacked scores for a corpus, one result per document, in order."""
+    first = first_pass(base, docs, cfg)
+    scores = score_batch(base, [text for text, _ in first])
+    return [
+        StackedResult(score, len(mask), mask.n_filtered, mask)
+        for score, (_, mask) in zip(scores, first)
+    ]
+
+
 @dataclass(frozen=True)
 class StackedDetector:
     """A base detector wrapped with group filtering.
 
     Satisfies the detector contract itself, so it can be evaluated, benched,
-    or nested anywhere a plain detector goes.
+    or nested anywhere a plain detector goes.  ``score`` splits raw text with
+    the packaged abbreviations; corpora go through :func:`score_corpus`.
     """
 
     base: Detector
     cfg: FilterConfig
-    mode: str = "trained"  # "trained" | "training_free"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("trained", "training_free"):
-            raise InvalidConfig(f"mode must be 'trained' or 'training_free', got {self.mode!r}")
 
     def score(self, text: str) -> float:
         return self.score_document(Document.from_text("", text)).score
 
     def score_document(self, doc: Document) -> StackedResult:
-        return stacked_infer_detail(self, doc)
+        return score_corpus(self.base, [doc], self.cfg)[0]
 
 
 def training_free_wrap(base: Detector, cfg: FilterConfig | None = None) -> StackedDetector:
     """Wrap an already-built detector without any retraining."""
-    return StackedDetector(base=base, cfg=cfg or FilterConfig(), mode="training_free")
-
-
-def _mask_for(base: Detector, doc: Document, cfg: FilterConfig, subseq) -> RetentionMask:
-    scores = [base.score(t) for t in group_texts(doc, subseq)]
-    return compute_mask(scores, cfg)
+    return StackedDetector(base=base, cfg=cfg or FilterConfig())
 
 
 def estimate_mask(base: Detector, doc: Document, cfg: FilterConfig) -> RetentionMask:
-    """First pass: score each group and apply the constrained retention rule.
-
-    Label-agnostic by construction; this is the E-step used verbatim by both
-    inference and training.
-    """
-    return _mask_for(base, doc, cfg, group_subsequences(doc, cfg.k))
+    """First pass over one document: its retention mask."""
+    return first_pass(base, [doc], cfg)[0][1]
 
 
 def stacked_infer_detail(sd: StackedDetector, doc: Document) -> StackedResult:
-    subseq = group_subsequences(doc, sd.cfg.k)
-    n_groups = len(subseq)
-    if sd.cfg.budget(n_groups) == 0:
-        # Nothing may be dropped, so skip the first pass entirely; the second
-        # pass sees the untouched document and the whole wrapper reduces to
-        # the base detector.
-        mask = RetentionMask((1,) * n_groups)
-        return StackedResult(sd.base.score(doc.text), n_groups, 0, mask)
-    mask = _mask_for(sd.base, doc, sd.cfg, subseq)
-    if all(mask):
-        # A kept-everything mask means the retained text IS the document;
-        # score the original so degeneration is exact for any base detector.
-        retained = doc.text
-    else:
-        retained = reconstruct(doc, subseq, mask)
-    return StackedResult(sd.base.score(retained), n_groups, mask.n_filtered, mask)
+    return score_corpus(sd.base, [doc], sd.cfg)[0]
 
 
 def stacked_infer(sd: StackedDetector, doc: Document) -> float:
@@ -143,17 +164,6 @@ def _epoch_batches(
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _masked_text(model: Detector, doc: Document, cfg: FilterConfig) -> tuple[str, int, int]:
-    """Retained text plus (n_filtered, n_groups) under the current model."""
-    subseq = group_subsequences(doc, cfg.k)
-    if cfg.budget(len(subseq)) == 0:
-        return doc.text, 0, len(subseq)
-    mask = _mask_for(model, doc, cfg, subseq)
-    if all(mask):
-        return doc.text, 0, len(subseq)
-    return reconstruct(doc, subseq, mask), mask.n_filtered, len(subseq)
-
-
 def train_hard_em(
     base: NGramLogRegModel, data: Sequence[LabeledDoc], tc: TrainConfig
 ) -> tuple[NGramLogRegModel, TrainTrace]:
@@ -178,13 +188,10 @@ def train_hard_em(
         filtered = 0
         groups_total = 0
         for batch_idx in _epoch_batches(len(data), tc.batch_size, rng):
-            batch_docs = [data[i] for i in batch_idx]
-            masked: list[tuple[str, int]] = []
-            for doc, y in batch_docs:
-                text, n_filt, n_groups = _masked_text(model, doc, cfg)
-                masked.append((text, y))
-                filtered += n_filt
-                groups_total += n_groups
+            first = first_pass(model, [data[i][0] for i in batch_idx], cfg)
+            masked = [(text, data[i][1]) for (text, _), i in zip(first, batch_idx)]
+            filtered += sum(mask.n_filtered for _, mask in first)
+            groups_total += sum(len(mask) for _, mask in first)
             q_sum += bin_log_likelihood(model, masked)
             n_batches += 1
             model = grad_update(model, masked, tc.lr)

@@ -32,19 +32,11 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidFilterSpec, UnsupportedCombination
 from .evaluation import auroc, bootstrap_auroc_ci
+from .retention import snap_floor
 
 EXACT_N_MAX = 12  # exact position-subset scoring up to this many sentences
-_FLOOR_EPS = 1e-9  # snaps float noise (0.3 * 10 = 2.999...96) to the intended integer
 
 _NORMAL = NormalDist()
-
-
-def _floor_frac(x: float) -> int:
-    return math.floor(x + _FLOOR_EPS)
-
-
-def _ceil_frac(x: float) -> int:
-    return math.ceil(x - _FLOOR_EPS)
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +167,8 @@ class MixSpec:
 
     @property
     def n_human_like(self) -> int:
-        return self.n - _ceil_frac((1.0 - self.alpha) * self.n)
+        # n - ceil((1 - alpha) * n), snapped: ceil(x) is -floor(-x).
+        return self.n + snap_floor((self.alpha - 1.0) * self.n)
 
     def sequence_lengths(self) -> tuple[int, ...]:
         return self.lengths if self.lengths is not None else (self.n,)
@@ -450,6 +443,28 @@ def _remove_batch(
     return kept_values, kept_mask
 
 
+def _removal_counts(fspec: FilterSpec, n: int, k: int | None) -> tuple[int, int]:
+    """Human-like and machine sentences the oracle filter removes from an
+    n-sentence machine text holding k human-like ones; a human text (k None)
+    loses their sum from a single pool.  Raises InvalidFilterSpec when a
+    machine pool runs short or no sentence would remain."""
+    r_h = snap_floor(fspec.alpha_s * n)
+    r_m = snap_floor(fspec.alpha_h * n)
+    if k is not None and r_h > k:
+        raise InvalidFilterSpec(
+            f"alpha_s = {fspec.alpha_s} removes {r_h} human-like sentences "
+            f"but machine texts only contain {k}"
+        )
+    if k is not None and r_m > n - k:
+        raise InvalidFilterSpec(
+            f"alpha_h = {fspec.alpha_h} removes {r_m} machine sentences "
+            f"but machine texts only contain {n - k}"
+        )
+    if r_h + r_m >= n:
+        raise InvalidFilterSpec(f"filter would remove all {n} sentences")
+    return r_h, r_m
+
+
 def apply_theory_filter(
     text: SampledText,
     fspec: FilterSpec,
@@ -464,32 +479,15 @@ def apply_theory_filter(
     """
     _check_class(text_class)
     n = text.values.shape[0]
-    r_h = _floor_frac(fspec.alpha_s * n)
-    r_m = _floor_frac(fspec.alpha_h * n)
+    machine = text_class == "machine_mixed"
+    r_h, r_m = _removal_counts(fspec, n, len(text.human_positions) if machine else None)
     if r_h + r_m == 0:
         return text
     human_mask = np.zeros((1, n), dtype=bool)
     human_mask[0, list(text.human_positions)] = True
-    if text_class == "machine_mixed":
-        n_human = len(text.human_positions)
-        if r_h > n_human:
-            raise InvalidFilterSpec(
-                f"alpha_s removes {r_h} human-like sentences but only {n_human} exist"
-            )
-        if r_m > n - n_human:
-            raise InvalidFilterSpec(
-                f"alpha_h removes {r_m} machine sentences but only {n - n_human} exist"
-            )
-        values, mask = _remove_batch(
-            text.values.reshape(1, *text.values.shape), human_mask, r_h, r_m, rng
-        )
-    else:
-        if r_h + r_m >= n:
-            raise InvalidFilterSpec(f"filter would remove all {n} sentences")
-        # Label-agnostic path: the pool is every sentence, volume r_h + r_m.
-        values, mask = _remove_batch(
-            text.values.reshape(1, *text.values.shape), human_mask, r_h + r_m, 0, rng
-        )
+    # Label-agnostic for human texts: the pool is every sentence, volume r_h + r_m.
+    pools = (r_h, r_m) if machine else (r_h + r_m, 0)
+    values, mask = _remove_batch(text.values.reshape(1, *text.values.shape), human_mask, *pools, rng)
     return SampledText(
         values=values[0], human_positions=tuple(int(i) for i in np.flatnonzero(mask[0]))
     )
@@ -544,20 +542,7 @@ def _run_point(task: tuple) -> dict:
     n = mix.n
     k = mix.n_human_like
     if not fspec.is_identity:
-        r_h = _floor_frac(fspec.alpha_s * n)
-        r_m = _floor_frac(fspec.alpha_h * n)
-        if r_h > k:
-            raise InvalidFilterSpec(
-                f"alpha_s = {fspec.alpha_s} removes {r_h} human-like sentences "
-                f"but machine texts only contain {k}"
-            )
-        if r_m > n - k:
-            raise InvalidFilterSpec(
-                f"alpha_h = {fspec.alpha_h} removes {r_m} machine sentences "
-                f"but machine texts only contain {n - k}"
-            )
-        if r_h + r_m >= n:
-            raise InvalidFilterSpec("filter would remove every sentence")
+        r_h, r_m = _removal_counts(fspec, n, k)
         machine_values, machine_mask = _remove_batch(
             machine_values, machine_mask, r_h, r_m, rng
         )

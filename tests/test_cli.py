@@ -14,7 +14,8 @@ import sys
 
 import pytest
 
-from mgtstack import SynthSpec, save_corpus, synth_corpus
+from mgtstack import NGramLogRegModel, SynthSpec, TrainTrace, save_corpus, synth_corpus
+from mgtstack import cli
 from mgtstack.cli import main
 
 
@@ -319,6 +320,103 @@ def test_constant_adapter_scores_every_document(capsys, corpus_path, tmp_path):
     # A constant score never falls below the evidence threshold, so nothing
     # is filtered and the second pass sees the whole document.
     assert all(row["score"] == 0.75 and row["n_filtered"] == 0 for row in rows)
+
+
+# Appends the texts of each launch as one JSON list to the file named by its
+# argument; groups mentioning "quiet" score under the evidence floor.
+RECORDER = """\
+import json, sys
+texts = [json.loads(line) for line in sys.stdin]
+with open(sys.argv[1], "a", encoding="utf-8") as fh:
+    fh.write(json.dumps(texts) + "\\n")
+for text in texts:
+    print(0.001 if "quiet" in text else 0.9)
+"""
+
+
+def quiet_score(text: str) -> float:
+    return 0.001 if "quiet" in text else 0.9
+
+
+@pytest.fixture
+def recorder(tmp_path):
+    """(adapter command, path of its per-launch log)."""
+    script = tmp_path / "recorder.py"
+    script.write_text(RECORDER, encoding="utf-8")
+    log = tmp_path / "launches.jsonl"
+    return f"{sys.executable} {script} {log}", log
+
+
+def launches(log) -> list[list[str]]:
+    return [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("tau, expected", [("0.5", 2), ("0.0", 1)])
+def test_detect_launches_adapter_once_per_pass(capsys, corpus_path, recorder, tau, expected):
+    command, log = recorder
+    code, out, _ = run(
+        capsys,
+        ["detect", "--corpus", corpus_path, "--adapter", command, "--tau", tau, "--k", "1"],
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 40
+    assert len(launches(log)) == expected
+
+
+ABBREV_DOCS = [
+    {"id": "a", "label": 1, "text": "Dr. Lee wrote this. It was quiet. Mr. Park read it. Nobody spoke."},
+    {"id": "b", "label": 0, "text": "St. Anne is old. The hall was quiet. Prof. Kim left. Then rain came."},
+]
+
+
+def test_eval_and_train_validation_use_custom_abbreviations(capsys, tmp_path, recorder, monkeypatch):
+    # With an empty abbreviation list "Dr." ends a sentence, so each document
+    # has six one-sentence groups.  Every verb must score the groups of the
+    # corpus as loaded, never a re-split with the packaged list.
+    corpus = tmp_path / "abbrev.jsonl"
+    corpus.write_text("".join(json.dumps(d) + "\n" for d in ABBREV_DOCS), encoding="utf-8")
+    empty = tmp_path / "none.txt"
+    empty.write_text("", encoding="utf-8")
+    flags = ["--corpus", str(corpus), "--abbreviations", str(empty), "--tau", "0.5", "--k", "1"]
+    command, log = recorder
+
+    assert run(capsys, ["detect", *flags, "--adapter", command])[0] == 0
+    detect_texts = [t for batch in launches(log) for t in batch]
+    assert len(detect_texts) == 14
+    log.unlink()
+    assert run(capsys, ["eval", *flags, "--adapter", command, "--stacked"])[0] == 0
+    assert [t for batch in launches(log) for t in batch] == detect_texts
+
+    validated = []
+
+    class RecordingModel(NGramLogRegModel):
+        def score(self, text):
+            validated.append(text)
+            return quiet_score(text)
+
+    def fake_training(base, pairs, tc):
+        return RecordingModel(base.n, base.feature_mode, base.hash_buckets, base.weights, base.bias), TrainTrace()
+
+    monkeypatch.setattr(cli, "train_hard_em", fake_training)
+    code, _, _ = run(
+        capsys,
+        ["train", *flags, "--out", str(tmp_path / "run"), "--split", "0:1:0", "--hash-buckets", "16"],
+    )
+    assert code == 0
+    assert sorted(validated) == sorted(detect_texts)
+
+
+def test_log_lines_are_json(capsys, tmp_path):
+    out = tmp_path / 'say "hi".csv'
+    code, _, err = run(
+        capsys,
+        ["simulate", "--n", "5", "--trials", "120", "--log-level", "info", "--out", str(out)],
+    )
+    assert code == 0
+    records = [json.loads(line) for line in err.splitlines()]
+    assert records
+    assert all(set(r) == {"level", "logger", "event"} for r in records)
+    assert {"level": "INFO", "logger": "mgtstack.cli", "event": f"simulate: wrote 1 rows to {out}"} in records
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,9 @@ from mgtstack import (
     bin_log_likelihood,
     estimate_mask,
     grad_update,
+    human_sentence_pool,
+    inject_human_sentences,
+    score_corpus,
     stacked_infer,
     stacked_infer_detail,
     synth_corpus,
@@ -27,6 +32,10 @@ from mgtstack import (
     training_free_wrap,
 )
 
+from mgtstack.retention import compute_mask
+from mgtstack.segmentation import group_subsequences, group_texts, reconstruct
+from mgtstack.stacked import first_pass
+
 from conftest import MapDetector, make_doc
 
 SENTS = ["Aa zz.", "Bb qq.", "Cc xx.", "Dd vv.", "Ee ww.", "Ff zz."]
@@ -34,8 +43,6 @@ SENTS = ["Aa zz.", "Bb qq.", "Cc xx.", "Dd vv.", "Ee ww.", "Ff zz."]
 
 def detector_for(doc: Document, scores: list[float], k: int = 1) -> MapDetector:
     """MapDetector scoring each k-group of ``doc`` by position."""
-    from mgtstack.segmentation import group_subsequences, group_texts
-
     subseq = group_subsequences(doc, k)
     texts = group_texts(doc, subseq)
     assert len(texts) == len(scores)
@@ -137,8 +144,9 @@ def test_estimate_mask_ignores_labels():
 def test_stacked_detector_is_a_detector():
     sd = training_free_wrap(MapDetector())
     assert isinstance(sd, Detector)
-    assert sd.mode == "training_free"
     assert sd.cfg == FilterConfig()
+    doc = make_doc(SENTS)
+    assert sd.score_document(doc) == score_corpus(sd.base, [doc], sd.cfg)[0]
 
 
 def test_stacked_score_on_raw_text():
@@ -147,9 +155,71 @@ def test_stacked_score_on_raw_text():
     assert sd.score("Some text here. More text there.") == 0.25
 
 
-def test_invalid_mode_rejected():
-    with pytest.raises(InvalidConfig):
-        StackedDetector(MapDetector(), FilterConfig(), mode="mystery")
+def test_single_document_calls_match_the_corpus_engine():
+    docs = [make_doc(SENTS, "a"), make_doc(SENTS[:3], "b"), make_doc(SENTS[2:], "c")]
+    table = {s: (0.001 if i % 2 else 0.9) for i, s in enumerate(SENTS)}
+    cfg = FilterConfig(tau=0.5, k=1)
+    sd = StackedDetector(MapDetector(table), cfg)
+    results = score_corpus(sd.base, docs, cfg)
+    assert [r.n_filtered for r in results] == [3, 1, 2]
+    assert results == [stacked_infer_detail(sd, doc) for doc in docs]
+    assert [r.score for r in results] == [stacked_infer(sd, doc) for doc in docs]
+    assert [r.mask for r in results] == [estimate_mask(sd.base, doc, cfg) for doc in docs]
+
+
+def test_corpus_engine_batches_each_pass():
+    # Pass 1 scores every group of every filtering document before pass 2
+    # scores any retained text; a zero-budget document only shows up in pass 2.
+    docs = [make_doc(SENTS, "a"), make_doc(SENTS[:1], "b"), make_doc(SENTS[:4], "c")]
+    base = MapDetector({"Bb qq.": 0.001}, default=0.9)
+    results = score_corpus(base, docs, FilterConfig(tau=0.5, k=1))
+    assert base.calls[:10] == SENTS + SENTS[:4]
+    assert base.calls[10:] == ["Aa zz. Cc xx. Dd vv. Ee ww. Ff zz.", docs[1].text, "Aa zz. Cc xx. Dd vv."]
+    assert [r.n_filtered for r in results] == [1, 0, 1]
+    assert score_corpus(base, [], FilterConfig()) == []
+
+
+def reference_result(base, doc: Document, cfg: FilterConfig) -> tuple:
+    """The two-pass rule for one document, written out step by step."""
+    subseq = group_subsequences(doc, cfg.k)
+    n = len(subseq)
+    if cfg.budget(n) == 0:
+        return base.score(doc.text), n, 0, (1,) * n
+    mask = compute_mask([base.score(t) for t in group_texts(doc, subseq)], cfg)
+    retained = doc.text if all(mask) else reconstruct(doc, subseq, mask)
+    return base.score(retained), n, mask.n_filtered, mask.bits
+
+
+@pytest.fixture(scope="module")
+def engine_corpus():
+    spec = SynthSpec(n_docs=30, seed=3, sentences_per_doc=(4, 15))
+    pool = human_sentence_pool(spec, 40, 5)
+    rng = random.Random(1)
+    docs = [
+        inject_human_sentences(d, pool, 2, rng) if d.label == 1 else d
+        for d in synth_corpus(spec)
+    ]
+    lm = NGramLMDetector.fit(synth_corpus(SynthSpec(n_docs=40, seed=4)))
+    train = [(d, d.label) for d in synth_corpus(SynthSpec(n_docs=40, seed=5))]
+    bigram, _ = train_plain(
+        NGramLogRegModel.new(n=2, hash_buckets=2**12), train, TrainConfig(epochs=8, lr=1.0, batch_size=8)
+    )
+    texts = sorted({t for k in (1, 3) for d in docs for t in group_texts(d, group_subsequences(d, k))})
+    table = {t: (0.001 if i % 3 == 0 else 0.9) for i, t in enumerate(texts)}
+    return docs, {"lm": lm, "bigram": bigram, "map": MapDetector(table, default=0.6)}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("tau", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("base_name", ["lm", "bigram", "map"])
+def test_score_corpus_matches_per_document_reference(engine_corpus, base_name, tau, k):
+    docs, bases = engine_corpus
+    base = bases[base_name]
+    cfg = FilterConfig(r_e=0.01, tau=tau, k=k)
+    got = [(r.score, r.n_groups, r.n_filtered, r.mask.bits) for r in score_corpus(base, docs, cfg)]
+    assert got == [reference_result(base, doc, cfg) for doc in docs]
+    if tau == 0.5:
+        assert sum(row[2] for row in got) > 0  # the filter actually engaged
 
 
 # --------------------------------------------------------------------------
@@ -188,10 +258,8 @@ def test_m_step_does_not_decrease_objective_under_frozen_masks():
     base = NGramLogRegModel.new(hash_buckets=2**12)
     tc = TrainConfig(epochs=1, lr=0.2, batch_size=16, seed=0)
     model, _ = train_hard_em(base, data, tc)
-    cfg = tc.filter_config()
-    from mgtstack.stacked import _masked_text
-
-    masked = [(_masked_text(model, doc, cfg)[0], y) for doc, y in data]
+    first = first_pass(model, [doc for doc, _ in data], tc.filter_config())
+    masked = [(text, y) for (text, _), (_, y) in zip(first, data)]
     before = bin_log_likelihood(model, masked)
     after = bin_log_likelihood(grad_update(model, masked, 1e-3), masked)
     assert after >= before
