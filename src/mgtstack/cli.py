@@ -37,6 +37,7 @@ from .detectors import (
     TrainConfig,
     load_model,
     save_model,
+    score_batch,
 )
 from .errors import (
     AdapterProtocolError,
@@ -52,7 +53,6 @@ from .errors import (
 from .evaluation import (
     SplitSpec,
     consistent_sentence_proportion,
-    evaluate_detector,
     evaluate_scores,
     require_labels,
     split_dataset,
@@ -290,7 +290,8 @@ def _cmd_eval(args, cfg) -> int:
     if _resolve(args, cfg, "stacked", False):
         report = _stacked_report(base, _filter_config(args, cfg), docs, seed)
     else:
-        report = evaluate_detector(base.score, docs, seed=seed)
+        labels = require_labels(docs)
+        report = evaluate_scores(score_batch(base, [d.text for d in docs]), labels, seed=seed)
     _write_text(report.to_json(), _resolve(args, cfg, "out"))
     return EXIT_OK
 
@@ -380,7 +381,7 @@ def _cmd_bench(args, cfg) -> int:
     # stretch land entirely on one side and skew the ratio.
     base_times, stacked_times = [], []
     for _ in range(repeats):
-        base_times.append(timed(lambda: [base.score(doc.text) for doc in docs]))
+        base_times.append(timed(lambda: score_batch(base, [doc.text for doc in docs])))
         stacked_times.append(timed(lambda: score_corpus(base, docs, fc)))
     base_s = min(base_times)
     stacked_s = min(stacked_times)

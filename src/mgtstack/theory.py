@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 from statistics import NormalDist
@@ -347,12 +348,19 @@ def _log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _score_mode(n: int) -> str:
+    """Exact position-subset scoring up to EXACT_N_MAX sentences, mixture beyond."""
+    return "exact" if n <= EXACT_N_MAX else "mixture"
+
+
 def _lr_scores(
     values: np.ndarray, world: SentenceWorld, n_human_like: int, mode: str
 ) -> np.ndarray:
     """log M(S) - log H(S) for a batch of texts, shape (trials, n[, dim]);
     M marginalizes n_human_like human-like positions, exactly ("exact") or
-    factorized ("mixture")."""
+    factorized ("mixture"); "auto" picks by n (_score_mode)."""
+    if mode == "auto":
+        mode = _score_mode(values.shape[1])
     if mode not in ("exact", "mixture"):
         raise InvalidConfig(f"mode must be 'exact', 'mixture' or 'auto', got {mode!r}")
     log_h, log_m = _position_log_densities(values, world)
@@ -404,8 +412,6 @@ def likelihood_ratio_score(
     n = values.shape[0]
     if n != mix.n:
         raise InvalidConfig(f"text has {n} sentences but mix.n = {mix.n}")
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_N_MAX else "mixture"
     batch = values.reshape(1, *values.shape)
     return float(_lr_scores(batch, world, mix.n_human_like, mode)[0])
 
@@ -465,29 +471,42 @@ def _removal_counts(fspec: FilterSpec, n: int, k: int | None) -> tuple[int, int]
     return r_h, r_m
 
 
+def _filter_batch(
+    values: np.ndarray, human_mask: np.ndarray, fspec: FilterSpec, machine: bool, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle filter over a batch of one class; every row holds the same
+    number of human-like sentences.  Any non-identity spec draws from rng,
+    even when it removes nothing, so whether rng advances depends on the
+    spec alone."""
+    if fspec.is_identity:
+        return values, human_mask
+    n = human_mask.shape[1]
+    r_h, r_m = _removal_counts(fspec, n, int(human_mask[0].sum()) if machine else None)
+    # Label-agnostic for human texts: the pool is every sentence, volume r_h + r_m.
+    pools = (r_h, r_m) if machine else (r_h + r_m, 0)
+    return _remove_batch(values, human_mask, *pools, rng)
+
+
 def apply_theory_filter(
     text: SampledText,
     fspec: FilterSpec,
     text_class: str,
     rng: np.random.Generator,
 ) -> SampledText:
-    """Oracle filter for one text.
+    """Oracle filter for one text: the batch filter on a batch of one.
 
     Machine texts lose floor(alpha_s * n) human-like and floor(alpha_h * n)
     machine sentences (uniformly within each pool); human texts lose the same
     total count uniformly, keeping removal volume label-agnostic.
     """
     _check_class(text_class)
-    n = text.values.shape[0]
-    machine = text_class == "machine_mixed"
-    r_h, r_m = _removal_counts(fspec, n, len(text.human_positions) if machine else None)
-    if r_h + r_m == 0:
+    if fspec.is_identity:
         return text
-    human_mask = np.zeros((1, n), dtype=bool)
+    human_mask = np.zeros((1, text.values.shape[0]), dtype=bool)
     human_mask[0, list(text.human_positions)] = True
-    # Label-agnostic for human texts: the pool is every sentence, volume r_h + r_m.
-    pools = (r_h, r_m) if machine else (r_h + r_m, 0)
-    values, mask = _remove_batch(text.values.reshape(1, *text.values.shape), human_mask, *pools, rng)
+    values, mask = _filter_batch(
+        text.values[None], human_mask, fspec, text_class == "machine_mixed", rng
+    )
     return SampledText(
         values=values[0], human_positions=tuple(int(i) for i in np.flatnonzero(mask[0]))
     )
@@ -497,12 +516,6 @@ def apply_theory_filter(
 # experiment driver
 
 SWEEP_KEYS = ("delta", "n", "alpha", "alpha_s", "alpha_h", "rho", "trials")
-
-
-def _world_with_delta(world: SentenceWorld, delta: float) -> SentenceWorld:
-    if world.kind == "categorical":
-        return categorical_world(delta)
-    return gaussian_world(delta, dim=world.dim)
 
 
 def _point_params(cfg: SimConfig) -> dict:
@@ -518,13 +531,7 @@ def _point_params(cfg: SimConfig) -> dict:
 
 
 def _run_point(task: tuple) -> dict:
-    base_world, base_mix, params, seed, index, n_boot = task
-    if abs(params["delta"] - tv_distance(base_world)) <= 1e-12:
-        # Not swept away from the base: keep the caller's world untouched so
-        # custom (non-constructor) distributions are honored.
-        world = base_world
-    else:
-        world = _world_with_delta(base_world, params["delta"])
+    world, base_mix, params, seed, index = task
     mix = MixSpec(
         n=int(params["n"]),
         alpha=float(params["alpha"]),
@@ -536,29 +543,19 @@ def _run_point(task: tuple) -> dict:
     trials = int(params["trials"])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
-    human_values, human_mask = sample_texts(world, mix, "human", rng, trials)
-    machine_values, machine_mask = sample_texts(world, mix, "machine_mixed", rng, trials)
+    human = sample_texts(world, mix, "human", rng, trials)
+    machine = sample_texts(world, mix, "machine_mixed", rng, trials)
+    machine_values, machine_mask = _filter_batch(*machine, fspec, True, rng)
+    human_values, _ = _filter_batch(*human, fspec, False, rng)
 
-    n = mix.n
-    k = mix.n_human_like
-    if not fspec.is_identity:
-        r_h, r_m = _removal_counts(fspec, n, k)
-        machine_values, machine_mask = _remove_batch(
-            machine_values, machine_mask, r_h, r_m, rng
-        )
-        human_values, human_mask = _remove_batch(human_values, human_mask, r_h + r_m, 0, rng)
-        n_eff = n - r_h - r_m
-        k_eff = k - r_h
-    else:
-        n_eff, k_eff = n, k
-
-    mode = "exact" if n_eff <= EXACT_N_MAX else "mixture"
+    k_eff = int(machine_mask[0].sum())
+    mode = _score_mode(machine_mask.shape[1])
     pos_scores = _lr_scores(machine_values, world, k_eff, mode)
     neg_scores = _lr_scores(human_values, world, k_eff, mode)
     scores = np.r_[pos_scores, neg_scores]
     labels = np.r_[np.ones(trials, dtype=np.int64), np.zeros(trials, dtype=np.int64)]
     point_auroc = auroc(scores, labels)
-    ci_lo, ci_hi = bootstrap_auroc_ci(pos_scores, neg_scores, n_boot=n_boot, rng=rng)
+    ci_lo, ci_hi = bootstrap_auroc_ci(pos_scores, neg_scores, rng=rng)
 
     row = dict(params)
     row.update(
@@ -589,10 +586,10 @@ def run_experiment(
     ``sweep`` maps parameter names (SWEEP_KEYS) to value lists; missing keys
     stay at their SimConfig values.  The grid is the Cartesian product in
     fixed key order, and every point gets its own derived RNG stream, so
-    results do not depend on the worker count.
+    results do not depend on the worker count.  When "delta" is swept,
+    every point rebuilds its world with the world kind's constructor
+    (categorical_world or gaussian_world); otherwise cfg.world is used as is.
     """
-    if cfg.trials < 100:
-        raise InvalidConfig("at least 100 trials per class are required for reported AUROC")
     sweep = dict(sweep or {})
     unknown = set(sweep) - set(SWEEP_KEYS)
     if unknown:
@@ -606,10 +603,12 @@ def run_experiment(
     for p in points:
         if int(p["trials"]) < 100:
             raise InvalidConfig("at least 100 trials per class are required for reported AUROC")
-    tasks = [
-        (cfg.world, cfg.mix, params, cfg.seed, index, 1000)
-        for index, params in enumerate(points)
-    ]
+    worlds = [cfg.world] * len(points)
+    if "delta" in sweep:
+        gaussian = cfg.world.kind == "gaussian"
+        make, dim = (gaussian_world, (cfg.world.dim,)) if gaussian else (categorical_world, ())
+        worlds = [make(p["delta"], *dim) for p in points]
+    tasks = [(w, cfg.mix, p, cfg.seed, i) for i, (w, p) in enumerate(zip(worlds, points))]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_point, tasks))
@@ -638,18 +637,12 @@ CSV_COLUMNS = (
 
 def write_rows_csv(rows: Sequence[dict], dest: IO[str] | str) -> None:
     """Write experiment rows as CSV to a path or an open text stream."""
-    if hasattr(dest, "write"):
-        _write_rows_csv(rows, dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write_rows_csv(rows, fh)
-
-
-def _write_rows_csv(rows: Sequence[dict], fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_csv_cell(row[c]) for c in CSV_COLUMNS])
+    stream = hasattr(dest, "write")
+    with nullcontext(dest) if stream else open(dest, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            writer.writerow([_csv_cell(row[c]) for c in CSV_COLUMNS])
 
 
 def _csv_cell(value) -> str:

@@ -363,6 +363,17 @@ def test_detect_launches_adapter_once_per_pass(capsys, corpus_path, recorder, ta
     assert len(launches(log)) == expected
 
 
+def test_base_arms_launch_adapter_once(capsys, corpus_path, recorder):
+    command, log = recorder
+    assert run(capsys, ["eval", "--corpus", corpus_path, "--adapter", command])[0] == 0
+    assert len(launches(log)) == 1
+    log.unlink()
+    # One base-arm launch plus the stacked arm's one launch per pass.
+    code, out, _ = run(capsys, ["bench", "--corpus", corpus_path, "--adapter", command, "--repeats", "1"])
+    assert code == 0 and json.loads(out)["n_docs"] == 40
+    assert len(launches(log)) <= 3
+
+
 ABBREV_DOCS = [
     {"id": "a", "label": 1, "text": "Dr. Lee wrote this. It was quiet. Mr. Park read it. Nobody spoke."},
     {"id": "b", "label": 0, "text": "St. Anne is old. The hall was quiet. Prof. Kim left. Then rain came."},
@@ -545,3 +556,33 @@ def test_simulate_gaussian_with_rho(capsys, tmp_path):
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
+
+
+GOLDEN_GRIDS = [
+    [
+        "--world", "categorical", "--delta", "0.2,0.8", "--n", "6,13", "--alpha", "0.35",
+        "--alpha-s", "0,0.05,0.2", "--alpha-h", "0,0.1", "--trials", "100", "--seed", "3",
+    ],
+    [
+        "--world", "gaussian", "--dim", "3", "--delta", "0.3,0.6", "--n", "8", "--alpha", "0.25",
+        "--rho", "0,0.3", "--alpha-s", "0.1", "--trials", "100", "--seed", "3",
+    ],
+]
+
+
+def test_simulate_matches_golden_csv(capsys, tmp_path):
+    """Both grids' CSVs, concatenated, equal ``tests/data/simulate_golden.csv``
+    byte for byte.
+
+    The golden file was written by source commit 938c4e5 under numpy 2.4.6.
+    At n = 6, alpha_s = 0.05 removes no sentence but still draws from the
+    point's RNG, so the file also pins the filter's draw order.
+    """
+    produced = b""
+    for i, grid in enumerate(GOLDEN_GRIDS):
+        out = tmp_path / f"grid{i}.csv"
+        assert run(capsys, ["simulate", *grid, "--out", str(out)])[0] == 0
+        produced += out.read_bytes()
+    golden = os.path.join(os.path.dirname(__file__), "data", "simulate_golden.csv")
+    with open(golden, "rb") as fh:
+        assert produced == fh.read()

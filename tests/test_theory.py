@@ -352,6 +352,26 @@ def test_filter_identity_returns_same_text():
     assert apply_theory_filter(text, FilterSpec(), "human", rng) is text
 
 
+def test_filter_zero_removal_spec_draws_like_the_grid():
+    # floor(0.05 * 10) = 0: nothing is removed, but a non-identity spec
+    # advances rng by the one (1, n) uniform draw the grid point makes.
+    rng = np.random.default_rng(4)
+    w = categorical_world(0.5)
+    for text_class, alpha in (("machine_mixed", 0.3), ("human", 0.0)):
+        text = sample_text(w, MixSpec(n=10, alpha=alpha), text_class, rng)
+        before = rng.bit_generator.state
+        out = apply_theory_filter(text, FilterSpec(alpha_s=0.05), text_class, rng)
+        assert np.array_equal(out.values, text.values)
+        assert out.human_positions == text.human_positions
+        twin = np.random.default_rng()
+        twin.bit_generator.state = before
+        twin.random((1, 10))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        before = rng.bit_generator.state
+        assert apply_theory_filter(text, FilterSpec(), text_class, rng) is text
+        assert rng.bit_generator.state == before
+
+
 def test_filter_overdraw_raises():
     rng = np.random.default_rng(3)
     w = categorical_world(0.5)
@@ -405,6 +425,27 @@ def test_run_experiment_uses_custom_world_when_delta_not_swept():
     )
     (rebuilt_row,) = run_experiment(rebuilt)
     assert rebuilt_row["auroc"] != row["auroc"]
+
+
+@pytest.mark.parametrize("world", [categorical_world(0.5), gaussian_world(0.5, dim=2)])
+def test_run_experiment_swept_delta_rebuilds_each_world(world):
+    cfg = SimConfig(world=world, mix=MixSpec(n=10), trials=150, seed=4)
+    rows = run_experiment(cfg, sweep={"delta": [0.0, 0.9]})
+    assert [r["delta"] for r in rows] == [0.0, 0.9]
+    assert abs(rows[0]["auroc"] - 0.5) < 0.1
+    assert rows[1]["auroc"] > rows[0]["auroc"] + 0.3
+
+
+def test_run_experiment_swept_delta_replaces_custom_world():
+    # A swept delta always rebuilds the world with the kind's constructor,
+    # even when the value equals the custom world's own TV distance.
+    custom = SentenceWorld.categorical((0.7, 0.2, 0.1), (0.1, 0.2, 0.7))
+    assert tv_distance(custom) == pytest.approx(0.6)
+    rows = [
+        run_experiment(SimConfig(world=w, mix=MixSpec(n=4), trials=100, seed=1), sweep={"delta": [0.6]})
+        for w in (custom, categorical_world(0.6))
+    ]
+    assert rows[0] == rows[1]
 
 
 def test_run_experiment_null_world_ci_covers_half():
