@@ -138,9 +138,9 @@ def _filter_config(args, cfg) -> FilterConfig:
     )
 
 
-def _abbreviations(args, cfg):
-    path = _resolve(args, cfg, "abbreviations")
-    return load_abbreviations(path)
+def _load_docs(args, cfg, path):
+    """Load a corpus, splitting sentences with the --abbreviations list."""
+    return load_corpus(str(path), abbreviations=load_abbreviations(_resolve(args, cfg, "abbreviations")))
 
 
 def _load_base(args, cfg):
@@ -193,8 +193,7 @@ def _cmd_train(args, cfg) -> int:
         k=fc.k,
         seed=seed,
     )
-    abbrev = _abbreviations(args, cfg)
-    docs = load_corpus(str(corpus_path), abbreviations=abbrev)
+    docs = _load_docs(args, cfg, corpus_path)
     unlabeled = [d.id for d in docs if d.label is None]
     if unlabeled:
         raise DegenerateDataset(f"training corpus has unlabeled documents (first: {unlabeled[0]!r})")
@@ -262,8 +261,7 @@ def _cmd_detect(args, cfg) -> int:
     corpus_path = _require(args, cfg, "corpus", "--corpus")
     fc = _filter_config(args, cfg)
     jobs = _as_int(_resolve(args, cfg, "jobs", 1), "--jobs")
-    abbrev = _abbreviations(args, cfg)
-    docs = load_corpus(str(corpus_path), abbreviations=abbrev)
+    docs = _load_docs(args, cfg, corpus_path)
     base = _load_base(args, cfg)
 
     if jobs > 1 and len(docs) > 1:
@@ -285,8 +283,7 @@ def _cmd_eval(args, cfg) -> int:
     corpus_path = _require(args, cfg, "corpus", "--corpus")
     base = _load_base(args, cfg)
     seed = _as_int(_resolve(args, cfg, "seed", 0), "--seed")
-    abbrev = _abbreviations(args, cfg)
-    docs = load_corpus(str(corpus_path), abbreviations=abbrev)
+    docs = _load_docs(args, cfg, corpus_path)
     if _resolve(args, cfg, "stacked", False):
         report = _stacked_report(base, _filter_config(args, cfg), docs, seed)
     else:
@@ -342,9 +339,8 @@ def _cmd_simulate(args, cfg) -> int:
 def _cmd_overlap(args, cfg) -> int:
     human_path = _require(args, cfg, "human", "--human")
     machine_path = _require(args, cfg, "machine", "--machine")
-    abbrev = _abbreviations(args, cfg)
-    human_docs = load_corpus(str(human_path), abbreviations=abbrev)
-    machine_docs = load_corpus(str(machine_path), abbreviations=abbrev)
+    human_docs = _load_docs(args, cfg, human_path)
+    machine_docs = _load_docs(args, cfg, machine_path)
     proportion = consistent_sentence_proportion(human_docs, machine_docs)
     n_machine = sum(doc.n_sentences for doc in machine_docs)
     _write_json(
@@ -366,8 +362,7 @@ def _cmd_bench(args, cfg) -> int:
     repeats = _as_int(_resolve(args, cfg, "repeats", 3), "--repeats")
     if repeats < 1:
         raise InvalidConfig("--repeats must be >= 1")
-    abbrev = _abbreviations(args, cfg)
-    docs = load_corpus(str(corpus_path), abbreviations=abbrev)
+    docs = _load_docs(args, cfg, corpus_path)
     if not docs:
         raise DegenerateDataset("bench corpus is empty")
 
@@ -415,6 +410,16 @@ def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, help="sentences per group (default 3)")
 
 
+def _add_training_free_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--training-free",
+        dest="training_free",
+        action="store_const",
+        const=True,
+        help="accepted for compatibility; no effect, stacking never retrains",
+    )
+
+
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", help="path to a saved model file")
     sub.add_argument("--adapter", help="external detector command line")
@@ -445,13 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="JSONL corpus to score")
     p.add_argument("--out", help="output JSONL path (default stdout)")
     p.add_argument("--jobs", type=int, help="worker processes (default 1)")
-    p.add_argument(
-        "--training-free",
-        dest="training_free",
-        action="store_const",
-        const=True,
-        help="accepted for compatibility; no effect, stacking never retrains",
-    )
+    _add_training_free_flag(p)
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)
@@ -461,13 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="labeled JSONL corpus")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.add_argument("--stacked", action="store_const", const=True, help="evaluate the stacked wrapper")
-    p.add_argument(
-        "--training-free",
-        dest="training_free",
-        action="store_const",
-        const=True,
-        help="accepted for compatibility; no effect, stacking never retrains",
-    )
+    _add_training_free_flag(p)
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)

@@ -114,21 +114,17 @@ def hashed_features(
         raise InvalidConfig(f"feature_mode must be 'word' or 'char', got {feature_mode!r}")
     if n < 1:
         raise InvalidConfig(f"n-gram order must be positive, got {n!r}")
-    counts: dict[int, int] = {}
     if feature_mode == "word":
         units: Sequence[str] = tokenize(text)
         join = _NGRAM_SEP.join
-        for order in range(1, n + 1):
-            for i in range(len(units) - order + 1):
-                key = join(units[i : i + order]).encode("utf-8")
-                idx = _hash64(key, hash_seed) % hash_buckets
-                counts[idx] = counts.get(idx, 0) + 1
     else:
-        s = text.casefold()
-        for order in range(1, n + 1):
-            for i in range(len(s) - order + 1):
-                idx = _hash64(s[i : i + order].encode("utf-8"), hash_seed) % hash_buckets
-                counts[idx] = counts.get(idx, 0) + 1
+        units = text.casefold()
+        join = "".join
+    counts: dict[int, int] = {}
+    for order in range(1, n + 1):
+        for i in range(len(units) - order + 1):
+            idx = _hash64(join(units[i : i + order]).encode("utf-8"), hash_seed) % hash_buckets
+            counts[idx] = counts.get(idx, 0) + 1
     return tuple(sorted(counts.items()))
 
 
@@ -152,6 +148,14 @@ class NGramLogRegModel:
     hash_seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.feature_mode not in ("word", "char"):
+            raise InvalidConfig(f"feature_mode must be 'word' or 'char', got {self.feature_mode!r}")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise InvalidConfig(f"n-gram order must be a positive integer, got {self.n!r}")
+        if not isinstance(self.hash_buckets, int) or self.hash_buckets < 1:
+            raise InvalidConfig(f"hash_buckets must be a positive integer, got {self.hash_buckets!r}")
+        if not isinstance(self.hash_seed, int) or not 0 <= self.hash_seed < 2**64:
+            raise InvalidConfig(f"hash_seed must be an integer in [0, 2**64), got {self.hash_seed!r}")
         if self.weights.shape != (self.hash_buckets,):
             raise InvalidConfig(
                 f"weights length {self.weights.shape} != hash_buckets {self.hash_buckets}"
@@ -165,10 +169,6 @@ class NGramLogRegModel:
         hash_buckets: int = 2**18,
         hash_seed: int = 0,
     ) -> "NGramLogRegModel":
-        if feature_mode not in ("word", "char"):
-            raise InvalidConfig(f"feature_mode must be 'word' or 'char', got {feature_mode!r}")
-        if not isinstance(n, int) or n < 1:
-            raise InvalidConfig(f"n-gram order must be a positive integer, got {n!r}")
         if not isinstance(hash_buckets, int) or hash_buckets < 1:
             raise InvalidConfig(f"hash_buckets must be a positive integer, got {hash_buckets!r}")
         return cls(
@@ -294,6 +294,12 @@ class _LmTable:
     contexts: dict[tuple[str, ...], int]
     vocab_size: int  # distinct observed tokens + 1 slot for unseen
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 1:
+            raise InvalidConfig(f"n-gram order must be a positive integer, got {self.n!r}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise InvalidConfig(f"lambda must be finite and positive, got {self.lam!r}")
+
     @classmethod
     def from_ngrams(cls, n: int, lam: float, ngrams: dict[tuple[str, ...], int]) -> "_LmTable":
         contexts: dict[tuple[str, ...], int] = {}
@@ -349,8 +355,6 @@ class NGramLMDetector:
     def fit(cls, docs: Sequence[Document], n: int = 1, lam: float = 0.1) -> "NGramLMDetector":
         if not isinstance(n, int) or n < 1:
             raise InvalidConfig(f"n-gram order must be a positive integer, got {n!r}")
-        if not (lam > 0 and math.isfinite(lam)):
-            raise InvalidConfig(f"lambda must be finite and positive, got {lam!r}")
         human_docs = [d for d in docs if d.label == 0]
         machine_docs = [d for d in docs if d.label == 1]
         if not human_docs or not machine_docs:

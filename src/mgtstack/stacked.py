@@ -91,39 +91,24 @@ def score_corpus(
 
 @dataclass(frozen=True)
 class StackedDetector:
-    """A base detector wrapped with group filtering.
+    """A base detector wrapped with group filtering, never retrained.
 
-    Satisfies the detector contract itself, so it can be evaluated, benched,
-    or nested anywhere a plain detector goes.  ``score`` splits raw text with
-    the packaged abbreviations; corpora go through :func:`score_corpus`.
+    ``StackedDetector(base)`` uses the default filter settings.  Satisfies
+    the detector contract itself, so it can be evaluated, benched, or nested
+    anywhere a plain detector goes.  ``score`` splits raw text with the
+    packaged abbreviations; corpora go through :func:`score_corpus`.
     """
 
     base: Detector
-    cfg: FilterConfig
+    cfg: FilterConfig = FilterConfig()
 
     def score(self, text: str) -> float:
-        return self.score_document(Document.from_text("", text)).score
-
-    def score_document(self, doc: Document) -> StackedResult:
-        return score_corpus(self.base, [doc], self.cfg)[0]
-
-
-def training_free_wrap(base: Detector, cfg: FilterConfig | None = None) -> StackedDetector:
-    """Wrap an already-built detector without any retraining."""
-    return StackedDetector(base=base, cfg=cfg or FilterConfig())
-
-
-def estimate_mask(base: Detector, doc: Document, cfg: FilterConfig) -> RetentionMask:
-    """First pass over one document: its retention mask."""
-    return first_pass(base, [doc], cfg)[0][1]
+        return score_corpus(self.base, [Document.from_text("", text)], self.cfg)[0].score
 
 
 def stacked_infer_detail(sd: StackedDetector, doc: Document) -> StackedResult:
+    """Two-pass stacked result for one document."""
     return score_corpus(sd.base, [doc], sd.cfg)[0]
-
-
-def stacked_infer(sd: StackedDetector, doc: Document) -> float:
-    return stacked_infer_detail(sd, doc).score
 
 
 # --------------------------------------------------------------------------

@@ -134,17 +134,11 @@ def gaussian_world(delta: float, dim: int = 2) -> SentenceWorld:
 @dataclass(frozen=True)
 class MixSpec:
     """Composition of one text: n sentences, an alpha share of them
-    human-like, optional first-order dependence rho within sequences.
-
-    ``lengths`` splits the text into independently sampled sequences (sums to
-    n); ``rho_per_seq`` overrides rho per sequence.
-    """
+    human-like, optional first-order dependence rho between sentences."""
 
     n: int
     alpha: float = 0.0
     rho: float = 0.0
-    lengths: tuple[int, ...] | None = None
-    rho_per_seq: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -153,31 +147,11 @@ class MixSpec:
             raise InvalidConfig(f"alpha must be in [0, 1), got {self.alpha!r}")
         if not (0.0 <= self.rho < 1.0):
             raise InvalidConfig(f"rho must be in [0, 1), got {self.rho!r}")
-        if self.lengths is not None:
-            if not self.lengths or any(not isinstance(c, int) or c < 1 for c in self.lengths):
-                raise InvalidConfig("sequence lengths must be positive integers")
-            if sum(self.lengths) != self.n:
-                raise InvalidConfig(
-                    f"sequence lengths {self.lengths!r} must sum to n = {self.n}"
-                )
-        if self.rho_per_seq is not None:
-            if self.lengths is None or len(self.rho_per_seq) != len(self.lengths):
-                raise InvalidConfig("rho_per_seq needs matching sequence lengths")
-            if any(not (0.0 <= r < 1.0) for r in self.rho_per_seq):
-                raise InvalidConfig("each rho_j must be in [0, 1)")
 
     @property
     def n_human_like(self) -> int:
         # n - ceil((1 - alpha) * n), snapped: ceil(x) is -floor(-x).
         return self.n + snap_floor((self.alpha - 1.0) * self.n)
-
-    def sequence_lengths(self) -> tuple[int, ...]:
-        return self.lengths if self.lengths is not None else (self.n,)
-
-    def sequence_rhos(self) -> tuple[float, ...]:
-        if self.rho_per_seq is not None:
-            return self.rho_per_seq
-        return (self.rho,) * len(self.sequence_lengths())
 
 
 @dataclass(frozen=True)
@@ -272,8 +246,8 @@ def sample_texts(
     """Vectorized sampler: returns (values, human_mask) over ``trials`` texts.
 
     Machine texts place their floor(alpha * n) human-like sentences at
-    uniformly random positions.  With rho > 0 (gaussian only), sentence i of
-    a sequence is rho * mean(previous sentences) + (1 - rho) * fresh draw.
+    uniformly random positions.  With rho > 0 (gaussian only), sentence i is
+    rho * mean(previous sentences) + (1 - rho) * fresh draw.
     """
     _check_class(text_class)
     if trials < 1:
@@ -289,26 +263,20 @@ def sample_texts(
             rows = np.arange(trials)[:, None]
             human_mask[rows, order[:, :k]] = True
 
-    if mix.rho == 0.0 and mix.rho_per_seq is None:
+    if mix.rho == 0.0:
         return _sample_fresh(world, human_mask, rng), human_mask
 
     if world.kind == "categorical":
         raise UnsupportedCombination(
             "dependent (rho > 0) sampling is defined for gaussian worlds only"
         )
-    fresh = _sample_fresh(world, human_mask, rng)
-    values = np.empty_like(fresh)
-    start = 0
-    for length, rho in zip(mix.sequence_lengths(), mix.sequence_rhos()):
-        running = np.zeros((trials, fresh.shape[-1]))
-        for i in range(length):
-            pos = start + i
-            if i == 0:
-                values[:, pos] = fresh[:, pos]
-            else:
-                values[:, pos] = rho * (running / i) + (1.0 - rho) * fresh[:, pos]
-            running = running + values[:, pos]
-        start += length
+    rho = mix.rho
+    values = _sample_fresh(world, human_mask, rng)
+    running = np.zeros((trials, values.shape[-1]))
+    for i in range(n):
+        if i > 0:
+            values[:, i] = rho * (running / i) + (1.0 - rho) * values[:, i]
+        running = running + values[:, i]
     return values, human_mask
 
 
@@ -399,7 +367,7 @@ def likelihood_ratio_score(
     Defined for exchangeable (rho = 0) compositions; "auto" scores exactly
     up to EXACT_N_MAX sentences and with the per-sentence mixture beyond.
     """
-    if mix.rho != 0.0 or mix.rho_per_seq is not None:
+    if mix.rho != 0.0:
         raise UnsupportedCombination(
             "the likelihood-ratio score assumes independent sentences (rho = 0)"
         )
@@ -531,14 +499,8 @@ def _point_params(cfg: SimConfig) -> dict:
 
 
 def _run_point(task: tuple) -> dict:
-    world, base_mix, params, seed, index = task
-    mix = MixSpec(
-        n=int(params["n"]),
-        alpha=float(params["alpha"]),
-        rho=float(params["rho"]),
-        lengths=base_mix.lengths if base_mix.n == int(params["n"]) else None,
-        rho_per_seq=base_mix.rho_per_seq if base_mix.n == int(params["n"]) else None,
-    )
+    world, params, seed, index = task
+    mix = MixSpec(n=int(params["n"]), alpha=float(params["alpha"]), rho=float(params["rho"]))
     fspec = FilterSpec(alpha_s=float(params["alpha_s"]), alpha_h=float(params["alpha_h"]))
     trials = int(params["trials"])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
@@ -608,7 +570,7 @@ def run_experiment(
         gaussian = cfg.world.kind == "gaussian"
         make, dim = (gaussian_world, (cfg.world.dim,)) if gaussian else (categorical_world, ())
         worlds = [make(p["delta"], *dim) for p in points]
-    tasks = [(w, cfg.mix, p, cfg.seed, i) for i, (w, p) in enumerate(zip(worlds, points))]
+    tasks = [(w, p, cfg.seed, i) for i, (w, p) in enumerate(zip(worlds, points))]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_point, tasks))
@@ -653,25 +615,3 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def aggregate_over_seeds(rows_per_seed: Sequence[Sequence[dict]]) -> list[dict]:
-    """Paper-style mean and std of AUROC across repeated seeded runs.
-
-    Each element of rows_per_seed is the row list of one run_experiment call;
-    rows are matched up by grid position.
-    """
-    if not rows_per_seed:
-        return []
-    length = len(rows_per_seed[0])
-    if any(len(rows) != length for rows in rows_per_seed):
-        raise InvalidConfig("seed runs cover different grids")
-    out = []
-    for i in range(length):
-        aurocs = np.array([rows[i]["auroc"] for rows in rows_per_seed])
-        agg = {k: rows_per_seed[0][i][k] for k in SWEEP_KEYS}
-        agg["auroc_mean"] = float(aurocs.mean())
-        agg["auroc_std"] = float(aurocs.std(ddof=1)) if len(aurocs) > 1 else 0.0
-        agg["n_seeds"] = len(aurocs)
-        out.append(agg)
-    return out

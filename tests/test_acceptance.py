@@ -51,7 +51,6 @@ from mgtstack import (
     tpr_at_fpr,
     train_hard_em,
     train_plain,
-    training_free_wrap,
 )
 from mgtstack.cli import main as cli_main
 from mgtstack.segmentation import group_subsequences, reconstruct
@@ -186,7 +185,7 @@ def test_criterion_03_degeneration_equivalence(capsys, tmp_path):
 
     sd = StackedDetector(stacked_model, FilterConfig(r_e=0.01, tau=0.0, k=3))
     scores_equal = all(
-        sd.score_document(doc).score == plain_model.score(doc.text) for doc in docs
+        stacked_infer_detail(sd, doc).score == plain_model.score(doc.text) for doc in docs
     )
     _criterion(
         capsys,
@@ -372,7 +371,7 @@ def mixed_corpus_summary():
         eval_h = humans[len(humans) // 2 :]
         eval_m = machines[len(machines) // 2 :]
         base = NGramLMDetector.fit(train)
-        sd = training_free_wrap(base, fc)
+        sd = StackedDetector(base, fc)
         pool = human_sentence_pool(
             dataclasses.replace(spec, strong_frac=0.9), 400, seed + 999
         )

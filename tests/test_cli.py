@@ -14,7 +14,16 @@ import sys
 
 import pytest
 
-from mgtstack import NGramLogRegModel, SynthSpec, TrainTrace, save_corpus, synth_corpus
+from mgtstack import (
+    NGramLMDetector,
+    NGramLogRegModel,
+    SynthSpec,
+    TrainTrace,
+    load_corpus,
+    save_corpus,
+    save_model,
+    synth_corpus,
+)
 from mgtstack import cli
 from mgtstack.cli import main
 
@@ -283,6 +292,35 @@ def test_nonfinite_model_is_numeric_error(capsys, corpus_path, model_path, tmp_p
     code, _, err = run(capsys, ["detect", "--corpus", corpus_path, "--model", str(broken)])
     assert code == 4
     assert "numerical error" in err
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        ("logreg", {"n": 1.5}),
+        ("logreg", {"n": 0}),
+        ("logreg", {"hash_buckets": 0, "weights_b64": ""}),
+        ("logreg", {"hash_seed": -1}),
+        ("logreg", {"hash_seed": 1.5}),
+        ("logreg", {"feature_mode": "xyz"}),
+        ("lm", {"lambda": 0}),
+        ("lm", {"lambda": -1}),
+        ("lm", {"lambda": float("nan")}),
+    ],
+)
+def test_malformed_model_field_is_data_error(capsys, corpus_path, model_path, tmp_path, kind, fields):
+    if kind == "lm":
+        model_path = str(tmp_path / "lm.json")
+        save_model(NGramLMDetector.fit(load_corpus(corpus_path)), model_path)
+    with open(model_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload.update(fields)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, ["detect", "--corpus", corpus_path, "--model", str(broken)])
+    assert code == 3
+    assert "data error" in err
+    assert "Traceback" not in err
 
 
 def test_failing_adapter_is_adapter_error(capsys, corpus_path, tmp_path):

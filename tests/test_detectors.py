@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -92,6 +93,13 @@ def test_hashed_features_char_mode():
     feats = dict(hashed_features("ab", "char", 2, 1024, 0))
     expected_keys = {ref_hash64(b"a", 0) % 1024, ref_hash64(b"b", 0) % 1024, ref_hash64(b"ab", 0) % 1024}
     assert set(feats) == expected_keys
+    # Non-ASCII: char n-grams run over the casefolded string, "éssé".
+    grams = ["é", "s", "s", "é", "és", "ss", "sé", "éss", "ssé"]
+    expected: dict[int, int] = {}
+    for gram in grams:
+        idx = ref_hash64(gram.encode("utf-8"), 3) % 64
+        expected[idx] = expected.get(idx, 0) + 1
+    assert dict(hashed_features("ÉßÉ", "char", 3, 64, 3)) == expected
 
 
 def test_hashed_features_validation():
@@ -370,6 +378,34 @@ def test_lm_round_trip_preserves_scores(tmp_path):
         assert loaded.score(text) == det.score(text)
 
 
+# Field values a model file may hold that no model can be built from; each
+# must be refused on load, not crash later at scoring time.
+MALFORMED_LOGREG_FIELDS = {
+    "n-fractional": {"n": 1.5},
+    "n-zero": {"n": 0},
+    "buckets-zero": {"hash_buckets": 0, "weights_b64": ""},
+    "seed-negative": {"hash_seed": -1},
+    "seed-fractional": {"hash_seed": 1.5},
+    "seed-too-large": {"hash_seed": 2**64},
+    "mode-unknown": {"feature_mode": "xyz"},
+}
+MALFORMED_LM_FIELDS = {
+    "lambda-zero": {"lambda": 0},
+    "lambda-negative": {"lambda": -1},
+    "lambda-nan": {"lambda": float("nan")},
+    "n-zero": {"n": 0, "machine_ngrams": {}, "human_ngrams": {}},
+}
+
+
+def with_fields(**fields):
+    """Model-file mutation that overwrites top-level JSON fields."""
+
+    def mutate(data: bytes) -> bytes:
+        return json.dumps({**json.loads(data), **fields}).encode("utf-8")
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -378,6 +414,10 @@ def test_lm_round_trip_preserves_scores(tmp_path):
         lambda data: data.replace(b"mgtstack-model", b"something-else"),
         lambda data: data.replace(b"ngram_logreg", b"mystery_kind"),
         lambda data: data.replace(b'"bias":', b'"wrong_field":'),
+        *(
+            pytest.param(with_fields(**fields), id=name)
+            for name, fields in MALFORMED_LOGREG_FIELDS.items()
+        ),
     ],
 )
 def test_corrupt_model_files_raise(tmp_path, mutate):
@@ -385,6 +425,16 @@ def test_corrupt_model_files_raise(tmp_path, mutate):
     path = tmp_path / "m.json"
     save_model(model, str(path))
     path.write_bytes(mutate(path.read_bytes()))
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("fields", MALFORMED_LM_FIELDS.values(), ids=MALFORMED_LM_FIELDS.keys())
+def test_corrupt_lm_model_files_raise(tmp_path, fields):
+    det = NGramLMDetector.fit(lm_corpus(), n=1, lam=0.1)
+    path = tmp_path / "lm.json"
+    save_model(det, str(path))
+    path.write_bytes(with_fields(**fields)(path.read_bytes()))
     with pytest.raises(ModelFormatError):
         load_model(str(path))
 

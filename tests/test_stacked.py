@@ -19,17 +19,14 @@ from mgtstack import (
     SynthSpec,
     TrainConfig,
     bin_log_likelihood,
-    estimate_mask,
     grad_update,
     human_sentence_pool,
     inject_human_sentences,
     score_corpus,
-    stacked_infer,
     stacked_infer_detail,
     synth_corpus,
     train_hard_em,
     train_plain,
-    training_free_wrap,
 )
 
 from mgtstack.retention import compute_mask
@@ -94,7 +91,7 @@ def test_budget_zero_from_few_groups_skips_first_pass():
     doc = make_doc(SENTS[:3])
     base = MapDetector({doc.text: 0.9})
     sd = StackedDetector(base, FilterConfig(tau=0.25, k=1))
-    assert stacked_infer(sd, doc) == 0.9
+    assert stacked_infer_detail(sd, doc).score == 0.9
     assert base.calls == [doc.text]
 
 
@@ -130,23 +127,23 @@ def test_grouping_respects_k():
     assert res.mask.bits == (0, 1)
 
 
-def test_estimate_mask_ignores_labels():
+def test_first_pass_ignores_labels():
     text = " ".join(SENTS)
     base = detector_for(Document.from_text("d", text), [0.9, 0.002, 0.8, 0.001, 0.7, 0.6])
     cfg = FilterConfig(tau=0.5, k=1)
     masks = {
-        estimate_mask(base, Document.from_text("d", text, label=label), cfg).bits
+        first_pass(base, [Document.from_text("d", text, label=label)], cfg)[0][1].bits
         for label in (None, 0, 1)
     }
     assert len(masks) == 1
 
 
 def test_stacked_detector_is_a_detector():
-    sd = training_free_wrap(MapDetector())
+    sd = StackedDetector(MapDetector())
     assert isinstance(sd, Detector)
     assert sd.cfg == FilterConfig()
     doc = make_doc(SENTS)
-    assert sd.score_document(doc) == score_corpus(sd.base, [doc], sd.cfg)[0]
+    assert sd.score(doc.text) == score_corpus(sd.base, [doc], sd.cfg)[0].score
 
 
 def test_stacked_score_on_raw_text():
@@ -163,8 +160,8 @@ def test_single_document_calls_match_the_corpus_engine():
     results = score_corpus(sd.base, docs, cfg)
     assert [r.n_filtered for r in results] == [3, 1, 2]
     assert results == [stacked_infer_detail(sd, doc) for doc in docs]
-    assert [r.score for r in results] == [stacked_infer(sd, doc) for doc in docs]
-    assert [r.mask for r in results] == [estimate_mask(sd.base, doc, cfg) for doc in docs]
+    assert [r.score for r in results] == [sd.score(doc.text) for doc in docs]
+    assert [r.mask for r in results] == [first_pass(sd.base, [doc], cfg)[0][1] for doc in docs]
 
 
 def test_corpus_engine_batches_each_pass():

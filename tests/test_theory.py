@@ -30,7 +30,7 @@ from mgtstack import (
     tv_distance,
     write_rows_csv,
 )
-from mgtstack.theory import CSV_COLUMNS, aggregate_over_seeds
+from mgtstack.theory import CSV_COLUMNS
 
 # Independent oracle: enumerate every way to place the human-like sentences
 # and average the plain products of densities, all in probability space.
@@ -131,14 +131,6 @@ def test_mix_validation():
         MixSpec(n=5, alpha=1.0)
     with pytest.raises(InvalidConfig):
         MixSpec(n=5, rho=1.0)
-    with pytest.raises(InvalidConfig):
-        MixSpec(n=5, lengths=(2, 2))  # sums to 4, not 5
-    with pytest.raises(InvalidConfig):
-        MixSpec(n=5, rho_per_seq=(0.5,))  # needs lengths
-    spec = MixSpec(n=5, lengths=(3, 2), rho_per_seq=(0.0, 0.5))
-    assert spec.sequence_lengths() == (3, 2)
-    assert spec.sequence_rhos() == (0.0, 0.5)
-    assert MixSpec(n=5, rho=0.2).sequence_rhos() == (0.2,)
 
 
 # --------------------------------------------------------------------------
@@ -524,19 +516,3 @@ def test_write_rows_csv_to_path(tmp_path):
     write_rows_csv(rows, buf)
     assert path.read_text("utf-8") == buf.getvalue()
 
-
-def test_aggregate_over_seeds():
-    cfg0 = SimConfig(world=categorical_world(0.5), mix=MixSpec(n=6), trials=120, seed=0)
-    cfg1 = SimConfig(world=categorical_world(0.5), mix=MixSpec(n=6), trials=120, seed=1)
-    r0 = run_experiment(cfg0, sweep={"alpha": [0.0, 0.3]})
-    r1 = run_experiment(cfg1, sweep={"alpha": [0.0, 0.3]})
-    agg = aggregate_over_seeds([r0, r1])
-    assert len(agg) == 2
-    expected_mean = (r0[0]["auroc"] + r1[0]["auroc"]) / 2
-    assert agg[0]["auroc_mean"] == pytest.approx(expected_mean)
-    assert agg[0]["n_seeds"] == 2
-    manual_std = np.std([r0[0]["auroc"], r1[0]["auroc"]], ddof=1)
-    assert agg[0]["auroc_std"] == pytest.approx(manual_std)
-    with pytest.raises(InvalidConfig):
-        aggregate_over_seeds([r0, r1[:1]])
-    assert aggregate_over_seeds([]) == []
