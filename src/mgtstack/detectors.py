@@ -25,7 +25,7 @@ import re
 import subprocess
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     ModelFormatError,
     NumericalError,
 )
-from .retention import FilterConfig
+from .retention import FilterConfig, RetentionMask
 from .segmentation import Document
 
 logger = logging.getLogger(__name__)
@@ -100,6 +100,18 @@ def _hash64(data: bytes, seed: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _check_hashing(feature_mode: str, n: int, hash_buckets: int, hash_seed: int) -> None:
+    """The rules for a hashed n-gram feature layout."""
+    if feature_mode not in ("word", "char"):
+        raise InvalidConfig(f"feature_mode must be 'word' or 'char', got {feature_mode!r}")
+    if not isinstance(n, int) or n < 1:
+        raise InvalidConfig(f"n-gram order must be a positive integer, got {n!r}")
+    if not isinstance(hash_buckets, int) or hash_buckets < 1:
+        raise InvalidConfig(f"hash_buckets must be a positive integer, got {hash_buckets!r}")
+    if not isinstance(hash_seed, int) or not 0 <= hash_seed < 2**64:
+        raise InvalidConfig(f"hash_seed must be an integer in [0, 2**64), got {hash_seed!r}")
+
+
 @lru_cache(maxsize=32768)
 def hashed_features(
     text: str, feature_mode: str, n: int, hash_buckets: int, hash_seed: int
@@ -110,10 +122,7 @@ def hashed_features(
     raw string.  Returns (bucket index, count) pairs sorted by index, so any
     accumulation over them is order-deterministic.
     """
-    if feature_mode not in ("word", "char"):
-        raise InvalidConfig(f"feature_mode must be 'word' or 'char', got {feature_mode!r}")
-    if n < 1:
-        raise InvalidConfig(f"n-gram order must be positive, got {n!r}")
+    _check_hashing(feature_mode, n, hash_buckets, hash_seed)
     if feature_mode == "word":
         units: Sequence[str] = tokenize(text)
         join = _NGRAM_SEP.join
@@ -148,14 +157,7 @@ class NGramLogRegModel:
     hash_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.feature_mode not in ("word", "char"):
-            raise InvalidConfig(f"feature_mode must be 'word' or 'char', got {self.feature_mode!r}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidConfig(f"n-gram order must be a positive integer, got {self.n!r}")
-        if not isinstance(self.hash_buckets, int) or self.hash_buckets < 1:
-            raise InvalidConfig(f"hash_buckets must be a positive integer, got {self.hash_buckets!r}")
-        if not isinstance(self.hash_seed, int) or not 0 <= self.hash_seed < 2**64:
-            raise InvalidConfig(f"hash_seed must be an integer in [0, 2**64), got {self.hash_seed!r}")
+        _check_hashing(self.feature_mode, self.n, self.hash_buckets, self.hash_seed)
         if self.weights.shape != (self.hash_buckets,):
             raise InvalidConfig(
                 f"weights length {self.weights.shape} != hash_buckets {self.hash_buckets}"
@@ -169,8 +171,7 @@ class NGramLogRegModel:
         hash_buckets: int = 2**18,
         hash_seed: int = 0,
     ) -> "NGramLogRegModel":
-        if not isinstance(hash_buckets, int) or hash_buckets < 1:
-            raise InvalidConfig(f"hash_buckets must be a positive integer, got {hash_buckets!r}")
+        _check_hashing(feature_mode, n, hash_buckets, hash_seed)  # before allocating the weights
         return cls(
             n=n,
             feature_mode=feature_mode,
@@ -309,17 +310,40 @@ class _LmTable:
             vocab.add(gram[-1])
         return cls(n=n, lam=lam, ngrams=ngrams, contexts=contexts, vocab_size=len(vocab) + 1)
 
-    def log_prob(self, tokens: Sequence[str]) -> float:
-        padded = [_BOS] * (self.n - 1) + list(tokens)
+    def terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> list[float]:
+        """log P(token | its n-1 predecessors) for each token, in order.
+
+        The predecessors of the first tokens come from ``context`` (the text
+        before ``tokens``), padded with BOS markers where it runs out.
+        """
+        m = self.n - 1
+        history = [_BOS] * m + list(context[len(context) - m :])
+        padded = history[len(history) - m :] + list(tokens)
         lam = self.lam
         lam_v = lam * self.vocab_size
-        total = 0.0
-        for i in range(self.n - 1, len(padded)):
-            gram = tuple(padded[i - self.n + 1 : i + 1])
-            num = self.ngrams.get(gram, 0) + lam
-            den = self.contexts.get(gram[:-1], 0) + lam_v
-            total += math.log(num) - math.log(den)
-        return total
+        ngrams = self.ngrams.get
+        contexts = self.contexts.get
+        log = math.log
+        return [
+            log(ngrams(gram, 0) + lam) - log(contexts(gram[:-1], 0) + lam_v)
+            for gram in zip(*(padded[j:] for j in range(self.n)))
+        ]
+
+
+def _running_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum.  Not ``sum()``: Python 3.12 compensates float
+    sums, and every score must add its terms in the same order on every route."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _lr_score(machine: Sequence[float], human: Sequence[float]) -> float:
+    """Length-stabilized likelihood-ratio score from per-token terms."""
+    if not machine:
+        return 0.5
+    return sigmoid((_running_sum(machine) - _running_sum(human)) / math.sqrt(len(machine)))
 
 
 def _count_ngrams(docs: Iterable[Document], n: int) -> dict[tuple[str, ...], int]:
@@ -371,14 +395,44 @@ class NGramLMDetector:
     def log_ratio(self, text: str) -> float:
         """Unnormalized log M(text) - log H(text)."""
         tokens = tokenize(text)
-        return self.machine.log_prob(tokens) - self.human.log_prob(tokens)
+        return _running_sum(self.machine.terms(tokens)) - _running_sum(self.human.terms(tokens))
 
     def score(self, text: str) -> float:
         tokens = tokenize(text)
-        if not tokens:
-            return 0.5
-        z = (self.machine.log_prob(tokens) - self.human.log_prob(tokens)) / math.sqrt(len(tokens))
-        return sigmoid(z)
+        return _lr_score(self.machine.terms(tokens), self.human.terms(tokens))
+
+    def score_two_pass(
+        self, group_texts: Sequence[str], rule: Callable[[list[float]], RetentionMask]
+    ) -> tuple[float, RetentionMask]:
+        """Both passes of stacked inference over one document's groups.
+
+        Each group is tokenized and scored once; ``rule`` turns the group
+        scores into the retention mask.  The retained text's score re-adds
+        the kept groups' terms in order, recomputing only the first n-1
+        terms of a kept group that follows retained tokens, whose context
+        now reaches into them.  The result equals
+        ``score(" ".join(kept group texts))`` bit for bit, and
+        ``score(document text)`` when every group is kept.
+        """
+        groups = [tokenize(t) for t in group_texts]
+        machine = [self.machine.terms(g) for g in groups]
+        human = [self.human.terms(g) for g in groups]
+        mask = rule([_lr_score(m, h) for m, h in zip(machine, human)])
+        reach = max(self.machine.n, self.human.n) - 1  # tokens whose context can cross a join
+        kept: list[str] = []
+        kept_machine: list[float] = []
+        kept_human: list[float] = []
+        for tokens, m, h, bit in zip(groups, machine, human, mask):
+            if not bit:
+                continue
+            head = tokens[:reach]
+            if kept and head:
+                m = self.machine.terms(head, kept) + m[len(head) :]
+                h = self.human.terms(head, kept) + h[len(head) :]
+            kept += tokens
+            kept_machine += m
+            kept_human += h
+        return _lr_score(kept_machine, kept_human), mask
 
 
 # --------------------------------------------------------------------------

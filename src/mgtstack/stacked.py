@@ -1,14 +1,21 @@
 """Two-pass stacked inference and hard-EM training.
 
 One corpus-level engine, :func:`score_corpus`, serves every caller.  Pass 1
-scores each sentence group of every document whose filter budget is non-zero,
-all in one ``score_batch`` call, and applies the constrained retention rule
-per document.  Pass 2 scores every retained text in one more ``score_batch``
-call.  The latent retention mask is never read from labels, only from
-first-pass scores.  A document with a zero budget, or whose mask keeps every
-group, is rescored as its own text, so with tau = 0 the wrapper collapses
-exactly onto the base detector.  Each group and each retained text is
-scored exactly once.
+scores each sentence group of a document whose filter budget is non-zero and
+applies the constrained retention rule to those scores; pass 2 scores the
+retained text.  The latent retention mask is never read from labels, only
+from first-pass scores.  A document with a zero budget skips pass 1 and is
+scored as its own text, so with tau = 0 the wrapper collapses exactly onto
+the base detector.  There are two routes:
+
+* A base with a ``score_two_pass(group_texts, rule)`` method (the n-gram LM)
+  runs both passes itself, one document at a time: it scores each token
+  once and builds the retained text's score from the kept groups' cached
+  terms, bit for bit equal to scoring the reconstructed text.
+* Every other base takes two batches: all groups of all documents in one
+  ``score_batch`` call, then all retained texts in one more.  A document
+  whose mask keeps every group is rescored as its own text, so degeneration
+  is exact for any base detector.
 
 Training alternates a hard E-step (pass 1 over the current batch with the
 current parameters) with a single gradient-ascent M-step on the retained
@@ -22,6 +29,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Sequence
 
@@ -51,8 +59,8 @@ def first_pass(
 ) -> list[tuple[str, RetentionMask]]:
     """Pass 1 over a corpus: (retained text, mask) for each document.
 
-    Label-agnostic by construction; this is the E-step used verbatim by both
-    inference and training.
+    Label-agnostic by construction; this is the hard-EM E-step and the
+    first batch of the two-batch inference route.
     """
     subseqs = [group_subsequences(doc, cfg.k) for doc in docs]
     filtering = [cfg.budget(len(subseq)) > 0 for subseq in subseqs]
@@ -81,12 +89,20 @@ def score_corpus(
     base: Detector, docs: Sequence[Document], cfg: FilterConfig
 ) -> list[StackedResult]:
     """Two-pass stacked scores for a corpus, one result per document, in order."""
-    first = first_pass(base, docs, cfg)
-    scores = score_batch(base, [text for text, _ in first])
-    return [
-        StackedResult(score, len(mask), mask.n_filtered, mask)
-        for score, (_, mask) in zip(scores, first)
-    ]
+    if getattr(base, "score_two_pass", None) is None:
+        first = first_pass(base, docs, cfg)
+        scored = zip(score_batch(base, [text for text, _ in first]), (mask for _, mask in first))
+    else:
+        # One document at a time, so only its term lists are alive at once.
+        scored = (_score_once(base, doc, cfg) for doc in docs)
+    return [StackedResult(score, len(mask), mask.n_filtered, mask) for score, mask in scored]
+
+
+def _score_once(base, doc: Document, cfg: FilterConfig) -> tuple[float, RetentionMask]:
+    subseq = group_subsequences(doc, cfg.k)
+    if cfg.budget(len(subseq)) == 0:
+        return base.score(doc.text), RetentionMask((1,) * len(subseq))
+    return base.score_two_pass(group_texts(doc, subseq), partial(compute_mask, cfg=cfg))
 
 
 @dataclass(frozen=True)

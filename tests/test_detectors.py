@@ -109,6 +109,17 @@ def test_hashed_features_validation():
         hashed_features("x", "word", 0, 64, 0)
 
 
+@pytest.mark.parametrize(
+    "n, hash_buckets, hash_seed",
+    [(1.5, 64, 0), (1, 0, 0), (1, 64, -1)],
+    ids=["fractional-n", "zero-buckets", "negative-seed"],
+)
+def test_hashed_features_rejects_bad_layout(n, hash_buckets, hash_seed):
+    # Direct callers get the same error as a model built with these values.
+    with pytest.raises(InvalidConfig):
+        hashed_features("a b", "word", n, hash_buckets, hash_seed)
+
+
 # --------------------------------------------------------------------------
 # logistic-regression model
 

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgtstack import (
     DegenerateDataset,
@@ -25,6 +27,7 @@ from mgtstack import (
     score_corpus,
     stacked_infer_detail,
     synth_corpus,
+    tokenize,
     train_hard_em,
     train_plain,
 )
@@ -197,18 +200,23 @@ def engine_corpus():
         for d in synth_corpus(spec)
     ]
     lm = NGramLMDetector.fit(synth_corpus(SynthSpec(n_docs=40, seed=4)))
+    # Light smoothing and more text, so higher-order groups fall under r_e
+    # and retained texts have joins whose context crosses dropped groups.
+    lm_docs = synth_corpus(SynthSpec(n_docs=200, seed=4))
     train = [(d, d.label) for d in synth_corpus(SynthSpec(n_docs=40, seed=5))]
     bigram, _ = train_plain(
         NGramLogRegModel.new(n=2, hash_buckets=2**12), train, TrainConfig(epochs=8, lr=1.0, batch_size=8)
     )
     texts = sorted({t for k in (1, 3) for d in docs for t in group_texts(d, group_subsequences(d, k))})
     table = {t: (0.001 if i % 3 == 0 else 0.9) for i, t in enumerate(texts)}
-    return docs, {"lm": lm, "bigram": bigram, "map": MapDetector(table, default=0.6)}
+    lm2, lm3 = (NGramLMDetector.fit(lm_docs, n=n, lam=0.01) for n in (2, 3))
+    bases = {"lm": lm, "lm2": lm2, "lm3": lm3, "bigram": bigram, "map": MapDetector(table, default=0.6)}
+    return docs, bases
 
 
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5])
-@pytest.mark.parametrize("base_name", ["lm", "bigram", "map"])
+@pytest.mark.parametrize("base_name", ["lm", "lm2", "lm3", "bigram", "map"])
 def test_score_corpus_matches_per_document_reference(engine_corpus, base_name, tau, k):
     docs, bases = engine_corpus
     base = bases[base_name]
@@ -217,6 +225,77 @@ def test_score_corpus_matches_per_document_reference(engine_corpus, base_name, t
     assert got == [reference_result(base, doc, cfg) for doc in docs]
     if tau == 0.5:
         assert sum(row[2] for row in got) > 0  # the filter actually engaged
+
+
+# Words whose casefold is longer than they are (İ -> i + U+0307, ß -> ss,
+# ﬁ -> fi), so token offsets in the casefolded text drift from the original.
+HYP_WORDS = ["aa", "bb", "cc", "dd", "İstanbul", "Straße", "ﬁne", "don't", "x9"]
+hyp_sentences = st.one_of(
+    st.sampled_from(["...", "!?", "…", "?!."]),  # no tokens at all
+    st.builds(
+        lambda words, end: " ".join(words) + end,
+        st.lists(st.sampled_from(HYP_WORDS), min_size=1, max_size=5),
+        st.sampled_from([".", "!", "?"]),
+    ),
+)
+hyp_docs = st.lists(hyp_sentences, min_size=1, max_size=12).map(
+    lambda sentences: Document.from_text("h", " ".join(sentences))
+)
+HYP_LMS = {
+    n: NGramLMDetector.fit(
+        [
+            Document.from_text("m1", "aa bb aa. İstanbul aa bb! Bb aa ﬁne.", label=1),
+            Document.from_text("m2", "Aa bb x9 aa. Don't aa bb.", label=1),
+            Document.from_text("h1", "cc dd Straße. Dd cc dd? Cc don't.", label=0),
+            Document.from_text("h2", "Straße cc. Dd dd cc x9.", label=0),
+        ],
+        n=n,
+    )
+    for n in (1, 2, 3)
+}
+# Tables of different orders: a join must be re-scored as far as the longer
+# context reaches.
+HYP_LMS["1/3"] = NGramLMDetector(machine=HYP_LMS[1].machine, human=HYP_LMS[3].human)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=hyp_docs,
+    order=st.sampled_from(list(HYP_LMS)),
+    r_e=st.sampled_from([0.01, 0.3, 0.49]),
+    tau=st.sampled_from([0.25, 0.5, 0.75]),
+    k=st.integers(1, 3),
+)
+def test_lm_score_once_matches_reference_bit_for_bit(doc, order, r_e, tau, k):
+    base, cfg = HYP_LMS[order], FilterConfig(r_e=r_e, tau=tau, k=k)
+    got = [(r.score, r.n_groups, r.n_filtered, r.mask.bits) for r in score_corpus(base, [doc], cfg)]
+    assert got == [reference_result(base, doc, cfg)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=hyp_docs, k=st.integers(1, 3))
+def test_group_tokens_concatenate_to_document_tokens(doc, k):
+    # What lets the score-once route rebuild a retained text's tokens, and a
+    # kept-everything document's, from its groups' tokens.
+    groups = group_texts(doc, group_subsequences(doc, k))
+    assert [t for g in groups for t in tokenize(g)] == tokenize(doc.text)
+
+
+@pytest.mark.parametrize("tau, k", [(0.25, 3), (0.5, 1)])
+def test_lm_base_scores_whole_texts_only_for_zero_budget_documents(engine_corpus, monkeypatch, tau, k):
+    # A silent fallback to the two-batch route would score every group and
+    # every retained text through score().
+    docs, bases = engine_corpus
+    calls: list[str] = []
+    score = NGramLMDetector.score
+    monkeypatch.setattr(NGramLMDetector, "score", lambda self, text: calls.append(text) or score(self, text))
+    cfg = FilterConfig(tau=tau, k=k)
+    zero_budget = [d.text for d in docs if cfg.budget(len(group_subsequences(d, k))) == 0]
+    assert len(zero_budget) < len(docs)
+    for name in ("lm", "lm2", "lm3"):
+        calls.clear()
+        score_corpus(bases[name], docs, cfg)
+        assert calls == zero_budget
 
 
 # --------------------------------------------------------------------------
