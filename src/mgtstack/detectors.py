@@ -25,7 +25,7 @@ import re
 import subprocess
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     ModelFormatError,
     NumericalError,
 )
-from .retention import FilterConfig, RetentionMask
+from .retention import FilterConfig, RetentionMask, compute_mask
 from .segmentation import Document
 
 logger = logging.getLogger(__name__)
@@ -397,32 +397,37 @@ class NGramLMDetector:
         tokens = tokenize(text)
         return _running_sum(self.machine.terms(tokens)) - _running_sum(self.human.terms(tokens))
 
-    def score(self, text: str) -> float:
-        tokens = tokenize(text)
-        return _lr_score(self.machine.terms(tokens), self.human.terms(tokens))
+    def score(self, text: str, *, terms: list | None = None) -> float:
+        """Likelihood-ratio score of ``text``.
 
-    def score_two_pass(
-        self, group_texts: Sequence[str], rule: Callable[[list[float]], RetentionMask]
-    ) -> tuple[float, RetentionMask]:
+        When ``terms`` is a list, ``(tokens, machine terms, human terms)`` of
+        the text is appended to it, so a caller can score a concatenation of
+        scored texts without scoring any token again.
+        """
+        tokens = tokenize(text)
+        machine, human = self.machine.terms(tokens), self.human.terms(tokens)
+        if terms is not None:
+            terms.append((tokens, machine, human))
+        return _lr_score(machine, human)
+
+    def score_two_pass(self, group_texts: Sequence[str], cfg: FilterConfig) -> tuple[float, RetentionMask]:
         """Both passes of stacked inference over one document's groups.
 
-        Each group is tokenized and scored once; ``rule`` turns the group
-        scores into the retention mask.  The retained text's score re-adds
-        the kept groups' terms in order, recomputing only the first n-1
-        terms of a kept group that follows retained tokens, whose context
-        now reaches into them.  The result equals
-        ``score(" ".join(kept group texts))`` bit for bit, and
-        ``score(document text)`` when every group is kept.
+        Each group is scored once; the retention rule turns the group scores
+        into the mask.  The retained text's score re-adds the kept groups'
+        terms in order, recomputing only the first n-1 terms of a kept group
+        that follows retained tokens, whose context now reaches into them.
+        The result equals ``score(" ".join(kept group texts))`` bit for bit,
+        and ``score(document text)`` when every group is kept (a
+        :class:`Document`'s text holds only whitespace outside its spans).
         """
-        groups = [tokenize(t) for t in group_texts]
-        machine = [self.machine.terms(g) for g in groups]
-        human = [self.human.terms(g) for g in groups]
-        mask = rule([_lr_score(m, h) for m, h in zip(machine, human)])
+        groups: list[tuple[list[str], list[float], list[float]]] = []
+        mask = compute_mask([self.score(t, terms=groups) for t in group_texts], cfg)
         reach = max(self.machine.n, self.human.n) - 1  # tokens whose context can cross a join
         kept: list[str] = []
         kept_machine: list[float] = []
         kept_human: list[float] = []
-        for tokens, m, h, bit in zip(groups, machine, human, mask):
+        for (tokens, m, h), bit in zip(groups, mask):
             if not bit:
                 continue
             head = tokens[:reach]

@@ -136,7 +136,10 @@ class Document:
     """A text with precomputed sentence spans and an optional class label.
 
     ``label`` is 1 for machine-generated, 0 for human-written, None when
-    unknown (e.g. detection input).
+    unknown (e.g. detection input).  ``sentences`` are non-empty, in order,
+    and separated by whitespace, and the text holds only whitespace outside
+    them, as :func:`split_sentences` leaves it.  So no word crosses a span
+    boundary, and the words of the groups, in order, are the document's.
     """
 
     id: str
@@ -147,6 +150,14 @@ class Document:
     def __post_init__(self) -> None:
         if self.label not in (None, 0, 1):
             raise InvalidConfig(f"label must be 0, 1 or None, got {self.label!r}")
+        cursor = 0
+        for i, (start, end) in enumerate(self.sentences):
+            gap = self.text[cursor:start]
+            if not cursor <= start < end <= len(self.text) or not (gap.isspace() or (i == 0 and not gap)):
+                raise InvalidConfig(f"document {self.id!r}: sentence span {i} overlaps or skips text")
+            cursor = end
+        if self.text[cursor:].strip():
+            raise InvalidConfig(f"document {self.id!r} has text after its last sentence span")
 
     @classmethod
     def from_text(

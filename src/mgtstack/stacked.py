@@ -8,8 +8,8 @@ from first-pass scores.  A document with a zero budget skips pass 1 and is
 scored as its own text, so with tau = 0 the wrapper collapses exactly onto
 the base detector.  There are two routes:
 
-* A base with a ``score_two_pass(group_texts, rule)`` method (the n-gram LM)
-  runs both passes itself, one document at a time: it scores each token
+* A base with a ``score_two_pass(group_texts, cfg)`` method (the n-gram LM)
+  runs both passes itself, one document at a time: it scores each group
   once and builds the retained text's score from the kept groups' cached
   terms, bit for bit equal to scoring the reconstructed text.
 * Every other base takes two batches: all groups of all documents in one
@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from typing import Sequence
 
@@ -102,7 +101,7 @@ def _score_once(base, doc: Document, cfg: FilterConfig) -> tuple[float, Retentio
     subseq = group_subsequences(doc, cfg.k)
     if cfg.budget(len(subseq)) == 0:
         return base.score(doc.text), RetentionMask((1,) * len(subseq))
-    return base.score_two_pass(group_texts(doc, subseq), partial(compute_mask, cfg=cfg))
+    return base.score_two_pass(group_texts(doc, subseq), cfg)
 
 
 @dataclass(frozen=True)

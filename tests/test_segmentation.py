@@ -269,3 +269,25 @@ def test_document_from_text_splits():
 def test_document_empty_raises():
     with pytest.raises(EmptyDocument):
         Document.from_text("d", "  ")
+
+
+def test_document_accepts_hand_built_spans_over_all_words():
+    # Spans need not be the splitter's, only cover every non-space character.
+    doc = Document("d", " aa bb, cc dd ", sentences=(Span(1, 7), Span(8, 13)))
+    assert doc.sentence_texts() == ["aa bb,", "cc dd"]
+
+
+@pytest.mark.parametrize(
+    "spans",
+    [
+        (Span(0, 5), Span(8, 12)),  # skips ", "
+        (Span(0, 4), Span(4, 12)),  # no space between spans: "cc" would split
+        (Span(0, 7), Span(5, 12)),  # overlap
+        (Span(0, 9),),  # "dd" after the last span
+        (Span(0, 0), Span(0, 12)),  # empty span
+        (Span(0, 13),),  # past the end
+    ],
+)
+def test_document_rejects_spans_that_skip_or_split_text(spans):
+    with pytest.raises(InvalidConfig):
+        Document("d", "aa bb, cc dd", sentences=spans)

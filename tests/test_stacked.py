@@ -18,6 +18,7 @@ from mgtstack import (
     NGramLMDetector,
     NGramLogRegModel,
     StackedDetector,
+    Span,
     SynthSpec,
     TrainConfig,
     bin_log_likelihood,
@@ -282,20 +283,40 @@ def test_group_tokens_concatenate_to_document_tokens(doc, k):
 
 
 @pytest.mark.parametrize("tau, k", [(0.25, 3), (0.5, 1)])
-def test_lm_base_scores_whole_texts_only_for_zero_budget_documents(engine_corpus, monkeypatch, tau, k):
-    # A silent fallback to the two-batch route would score every group and
-    # every retained text through score().
+def test_lm_base_scores_each_group_once_and_no_retained_text(engine_corpus, monkeypatch, tau, k):
+    # A silent fallback to the two-batch route would also score every
+    # retained text, and a kept-everything document's own text.
     docs, bases = engine_corpus
     calls: list[str] = []
     score = NGramLMDetector.score
-    monkeypatch.setattr(NGramLMDetector, "score", lambda self, text: calls.append(text) or score(self, text))
+    monkeypatch.setattr(NGramLMDetector, "score", lambda self, text, **kw: calls.append(text) or score(self, text, **kw))
     cfg = FilterConfig(tau=tau, k=k)
-    zero_budget = [d.text for d in docs if cfg.budget(len(group_subsequences(d, k))) == 0]
-    assert len(zero_budget) < len(docs)
+    expected = []
+    for d in docs:
+        subseq = group_subsequences(d, k)
+        expected += [d.text] if cfg.budget(len(subseq)) == 0 else group_texts(d, subseq)
+    assert len(expected) > len(docs)
     for name in ("lm", "lm2", "lm3"):
         calls.clear()
         score_corpus(bases[name], docs, cfg)
-        assert calls == zero_budget
+        assert calls == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lm_score_once_on_hand_built_spans(n):
+    # Spans other than the splitter's: whole-text equality when everything
+    # is kept rests on the Document invariant, not on split_sentences.
+    text = "aa bb, cc dd; aa cc? bb"
+    doc = Document("d", text, sentences=(Span(0, 6), Span(7, 13), Span(14, 20), Span(21, 23)))
+    base = HYP_LMS[n]
+    filtered = 0
+    for tau, r_e in ((0.5, 0.0), (0.5, 0.49), (0.75, 0.49)):
+        cfg = FilterConfig(r_e=r_e, tau=tau, k=1)
+        got = score_corpus(base, [doc], cfg)[0]
+        assert (got.score, got.n_groups, got.n_filtered, got.mask.bits) == reference_result(base, doc, cfg)
+        filtered += got.n_filtered
+    assert filtered > 0
+    assert score_corpus(base, [doc], FilterConfig(r_e=0.0, tau=0.5, k=1))[0].score == base.score(text)
 
 
 # --------------------------------------------------------------------------
