@@ -82,78 +82,44 @@ EXIT_ADAPTER = 5
 # option plumbing
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, dest: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, dest, None)
-    if value is None:
-        value = cfg.get(dest, default)
-    return value
+def _grid(conv, sep: str = ","):
+    """argparse type: a separated list such as '5,10,20', as a tuple."""
 
-
-def _require(args: argparse.Namespace, cfg: dict, dest: str, flag: str):
-    value = _resolve(args, cfg, dest)
-    if value is None:
-        raise InvalidConfig(f"missing required option {flag}")
-    return value
-
-
-def _as_float(value, flag: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{flag} expects a number, got {value!r}") from None
-
-
-def _as_int(value, flag: str) -> int:
-    try:
-        out = int(str(value), 10)
-    except (TypeError, ValueError):
-        raise InvalidConfig(f"{flag} expects an integer, got {value!r}") from None
-    return out
-
-
-def _grid(value, flag: str, conv) -> tuple:
-    """Parse a comma-separated grid value ('5,10,20') into a tuple."""
-    if value is None:
-        return ()
-    if isinstance(value, bool):
-        raise InvalidConfig(f"{flag} expects numbers, got {value!r}")
-    if isinstance(value, (int, float)):
-        return (conv(value),)
-    parts = [p.strip() for p in str(value).split(",")]
-    parts = [p for p in parts if p]
-    if not parts:
-        raise InvalidConfig(f"{flag} expects at least one value")
-    try:
+    def parse(value: str) -> tuple:
+        parts = [p.strip() for p in value.split(sep) if p.strip()]
+        if not parts:
+            raise ValueError(value)
         return tuple(conv(p) for p in parts)
-    except ValueError:
-        raise InvalidConfig(f"{flag} could not parse {value!r}") from None
+
+    parse.__name__ = f"{sep!r}-separated {conv.__name__}"  # argparse's error message names it
+    return parse
 
 
-def _filter_config(args, cfg) -> FilterConfig:
-    return FilterConfig(
-        r_e=_as_float(_resolve(args, cfg, "re", 0.01), "--re"),
-        tau=_as_float(_resolve(args, cfg, "tau", 0.25), "--tau"),
-        k=_as_int(_resolve(args, cfg, "k", 3), "--k"),
-    )
+def _positive_int(value: str) -> int:
+    """argparse type: an integer >= 1."""
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value!r}")
+    return count
 
 
-def _load_docs(args, cfg, path):
+def _filter_config(args) -> FilterConfig:
+    return FilterConfig(r_e=args.re, tau=args.tau, k=args.k)
+
+
+def _load_docs(args, path):
     """Load a corpus, splitting sentences with the --abbreviations list."""
-    return load_corpus(str(path), abbreviations=load_abbreviations(_resolve(args, cfg, "abbreviations")))
+    return load_corpus(path, abbreviations=load_abbreviations(args.abbreviations))
 
 
-def _load_base(args, cfg):
+def _load_base(args):
     """Build the base detector from --model or --adapter."""
-    model_path = _resolve(args, cfg, "model")
-    adapter = _resolve(args, cfg, "adapter")
-    if model_path and adapter:
+    if args.model and args.adapter:
         raise InvalidConfig("--model and --adapter are mutually exclusive")
-    if adapter:
-        timeout = _as_float(_resolve(args, cfg, "adapter_timeout", 30.0), "--adapter-timeout")
-        return ExternalDetector(tuple(shlex.split(str(adapter))), timeout=timeout)
-    if model_path:
-        return load_model(str(model_path))
+    if args.adapter:
+        return ExternalDetector(tuple(args.adapter), timeout=args.adapter_timeout)
+    if args.model:
+        return load_model(args.model)
     raise InvalidConfig("missing required option --model (or --adapter)")
 
 
@@ -179,51 +145,40 @@ def _write_json(payload: dict, out_path) -> None:
 # verbs
 
 
-def _cmd_train(args, cfg) -> int:
-    corpus_path = _require(args, cfg, "corpus", "--corpus")
-    out_dir = _require(args, cfg, "out", "--out")
-    seed = _as_int(_resolve(args, cfg, "seed", 0), "--seed")
-    fc = _filter_config(args, cfg)
+def _cmd_train(args) -> int:
+    fc = _filter_config(args)
     tc = TrainConfig(
-        epochs=_as_int(_resolve(args, cfg, "epochs", 5), "--epochs"),
-        lr=_as_float(_resolve(args, cfg, "lr", 0.1), "--lr"),
-        batch_size=_as_int(_resolve(args, cfg, "batch_size", 32), "--batch-size"),
+        epochs=args.epochs,
+        lr=args.lr,
+        batch_size=args.batch_size,
         r_e=fc.r_e,
         tau=fc.tau,
         k=fc.k,
-        seed=seed,
+        seed=args.seed,
     )
-    docs = _load_docs(args, cfg, corpus_path)
-    unlabeled = [d.id for d in docs if d.label is None]
-    if unlabeled:
-        raise DegenerateDataset(f"training corpus has unlabeled documents (first: {unlabeled[0]!r})")
-
-    ratios_raw = str(_resolve(args, cfg, "split", "2:1:1"))
-    try:
-        ratios = tuple(float(p) for p in ratios_raw.split(":"))
-    except ValueError:
-        raise InvalidConfig(f"--split expects 'a:b:c', got {ratios_raw!r}") from None
-    train_docs, val_docs, test_docs = split_dataset(docs, SplitSpec(ratios=ratios, seed=seed))
+    docs = _load_docs(args, args.corpus)
+    require_labels(docs)
+    train_docs, val_docs, test_docs = split_dataset(docs, SplitSpec(ratios=args.split, seed=args.seed))
+    if len({doc.label for doc in val_docs}) < 2:
+        raise DegenerateDataset("the validation split of --split needs documents of both classes")
 
     base = NGramLogRegModel.new(
-        n=_as_int(_resolve(args, cfg, "ngram_order", 1), "--ngram-order"),
-        feature_mode=str(_resolve(args, cfg, "feature_mode", "word")),
-        hash_buckets=_as_int(_resolve(args, cfg, "hash_buckets", 2**18), "--hash-buckets"),
+        n=args.ngram_order, feature_mode=args.feature_mode, hash_buckets=args.hash_buckets
     )
     pairs = [(doc, doc.label) for doc in train_docs]
     model, trace = train_hard_em(base, pairs, tc)
 
     import os
 
-    os.makedirs(out_dir, exist_ok=True)
-    model_path = os.path.join(out_dir, "model.json")
+    os.makedirs(args.out, exist_ok=True)
+    model_path = os.path.join(args.out, "model.json")
     save_model(model, model_path)
-    trace_path = os.path.join(out_dir, "trace.jsonl")
+    trace_path = os.path.join(args.out, "trace.jsonl")
     epochs = "".join(json.dumps(asdict(rec), sort_keys=True) + "\n" for rec in trace.epochs)
     _write_text(epochs, trace_path)
 
-    report = _stacked_report(model, fc, val_docs, seed)
-    report_path = os.path.join(out_dir, "eval_val.json")
+    report = _stacked_report(model, fc, val_docs, args.seed)
+    report_path = os.path.join(args.out, "eval_val.json")
     _write_text(report.to_json(), report_path)
 
     logger.info("train: %d/%d/%d split, %d epochs", len(train_docs), len(val_docs), len(test_docs), tc.epochs)
@@ -257,90 +212,60 @@ def _detect_chunk(docs):
     return _detect_rows(*_WORKER, docs)
 
 
-def _cmd_detect(args, cfg) -> int:
-    corpus_path = _require(args, cfg, "corpus", "--corpus")
-    fc = _filter_config(args, cfg)
-    jobs = _as_int(_resolve(args, cfg, "jobs", 1), "--jobs")
-    docs = _load_docs(args, cfg, corpus_path)
-    base = _load_base(args, cfg)
+def _cmd_detect(args) -> int:
+    fc = _filter_config(args)
+    docs = _load_docs(args, args.corpus)
+    base = _load_base(args)
 
-    if jobs > 1 and len(docs) > 1:
-        n_chunks = min(len(docs), jobs * 4)
+    if args.jobs > 1 and len(docs) > 1:
+        n_chunks = min(len(docs), args.jobs * 4)
         step = -(-len(docs) // n_chunks)
         chunks = [docs[i : i + step] for i in range(0, len(docs), step)]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_detect_init, initargs=(base, fc)) as pool:
+        pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_detect_init, initargs=(base, fc))
+        with pool:
             chunk_rows = list(pool.map(_detect_chunk, chunks))
         rows = [row for rows_ in chunk_rows for row in rows_]
     else:
         rows = _detect_rows(base, fc, docs)
 
     lines = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    _write_text(lines, _resolve(args, cfg, "out"))
+    _write_text(lines, args.out)
     return EXIT_OK
 
 
-def _cmd_eval(args, cfg) -> int:
-    corpus_path = _require(args, cfg, "corpus", "--corpus")
-    base = _load_base(args, cfg)
-    seed = _as_int(_resolve(args, cfg, "seed", 0), "--seed")
-    docs = _load_docs(args, cfg, corpus_path)
-    if _resolve(args, cfg, "stacked", False):
-        report = _stacked_report(base, _filter_config(args, cfg), docs, seed)
+def _cmd_eval(args) -> int:
+    base = _load_base(args)
+    docs = _load_docs(args, args.corpus)
+    if args.stacked:
+        report = _stacked_report(base, _filter_config(args), docs, args.seed)
     else:
         labels = require_labels(docs)
-        report = evaluate_scores(score_batch(base, [d.text for d in docs]), labels, seed=seed)
-    _write_text(report.to_json(), _resolve(args, cfg, "out"))
+        report = evaluate_scores(score_batch(base, [d.text for d in docs]), labels, seed=args.seed)
+    _write_text(report.to_json(), args.out)
     return EXIT_OK
 
 
-def _cmd_simulate(args, cfg) -> int:
-    out_path = _require(args, cfg, "out", "--out")
-    seed = _as_int(_resolve(args, cfg, "seed", 0), "--seed")
-    jobs = _as_int(_resolve(args, cfg, "jobs", 1), "--jobs")
-    world_kind = str(_resolve(args, cfg, "world", "categorical"))
-
-    deltas = _grid(_resolve(args, cfg, "delta", "0.5"), "--delta", float)
-    ns = _grid(_resolve(args, cfg, "n", "20"), "--n", int)
-    alphas = _grid(_resolve(args, cfg, "alpha", "0.0"), "--alpha", float)
-    alpha_ss = _grid(_resolve(args, cfg, "alpha_s", "0.0"), "--alpha-s", float)
-    alpha_hs = _grid(_resolve(args, cfg, "alpha_h", "0.0"), "--alpha-h", float)
-    rhos = _grid(_resolve(args, cfg, "rho", "0.0"), "--rho", float)
-    trials = _grid(_resolve(args, cfg, "trials", "2000"), "--trials", int)
-
-    if world_kind == "categorical":
-        world = categorical_world(deltas[0])
-    elif world_kind == "gaussian":
-        dim = _as_int(_resolve(args, cfg, "dim", 2), "--dim")
-        world = gaussian_world(deltas[0], dim=dim)
+def _cmd_simulate(args) -> int:
+    if args.world == "categorical":
+        world = categorical_world(args.delta[0])
     else:
-        raise InvalidConfig(f"--world must be 'categorical' or 'gaussian', got {world_kind!r}")
-
+        world = gaussian_world(args.delta[0], dim=args.dim)
     base_cfg = SimConfig(
         world=world,
-        mix=MixSpec(n=ns[0], alpha=alphas[0], rho=rhos[0]),
-        trials=trials[0],
-        seed=seed,
+        mix=MixSpec(n=args.n[0], alpha=args.alpha[0], rho=args.rho[0]),
+        trials=args.trials[0],
+        seed=args.seed,
     )
-    sweep = {
-        "delta": deltas,
-        "n": ns,
-        "alpha": alphas,
-        "alpha_s": alpha_ss,
-        "alpha_h": alpha_hs,
-        "rho": rhos,
-        "trials": trials,
-    }
-    rows = run_experiment(base_cfg, sweep=sweep, jobs=jobs)
-    write_rows_csv(rows, str(out_path))
-    logger.info("simulate: wrote %d rows to %s", len(rows), out_path)
+    swept = ("delta", "n", "alpha", "alpha_s", "alpha_h", "rho", "trials")
+    rows = run_experiment(base_cfg, sweep={key: getattr(args, key) for key in swept}, jobs=args.jobs)
+    write_rows_csv(rows, args.out)
+    logger.info("simulate: wrote %d rows to %s", len(rows), args.out)
     return EXIT_OK
 
 
-def _cmd_overlap(args, cfg) -> int:
-    human_path = _require(args, cfg, "human", "--human")
-    machine_path = _require(args, cfg, "machine", "--machine")
-    human_docs = _load_docs(args, cfg, human_path)
-    machine_docs = _load_docs(args, cfg, machine_path)
+def _cmd_overlap(args) -> int:
+    human_docs = _load_docs(args, args.human)
+    machine_docs = _load_docs(args, args.machine)
     proportion = consistent_sentence_proportion(human_docs, machine_docs)
     n_machine = sum(doc.n_sentences for doc in machine_docs)
     _write_json(
@@ -350,19 +275,15 @@ def _cmd_overlap(args, cfg) -> int:
             "n_machine_docs": len(machine_docs),
             "n_machine_sentences": n_machine,
         },
-        _resolve(args, cfg, "out"),
+        args.out,
     )
     return EXIT_OK
 
 
-def _cmd_bench(args, cfg) -> int:
-    corpus_path = _require(args, cfg, "corpus", "--corpus")
-    base = _load_base(args, cfg)
-    fc = _filter_config(args, cfg)
-    repeats = _as_int(_resolve(args, cfg, "repeats", 3), "--repeats")
-    if repeats < 1:
-        raise InvalidConfig("--repeats must be >= 1")
-    docs = _load_docs(args, cfg, corpus_path)
+def _cmd_bench(args) -> int:
+    base = _load_base(args)
+    fc = _filter_config(args)
+    docs = _load_docs(args, args.corpus)
     if not docs:
         raise DegenerateDataset("bench corpus is empty")
 
@@ -375,7 +296,7 @@ def _cmd_bench(args, cfg) -> int:
     # take the best of each; a sequential block per arm would let a slow
     # stretch land entirely on one side and skew the ratio.
     base_times, stacked_times = [], []
-    for _ in range(repeats):
+    for _ in range(args.repeats):
         base_times.append(timed(lambda: score_batch(base, [doc.text for doc in docs])))
         stacked_times.append(timed(lambda: score_corpus(base, docs, fc)))
     base_s = min(base_times)
@@ -386,9 +307,9 @@ def _cmd_bench(args, cfg) -> int:
             "stacked_seconds": stacked_s,
             "ratio": stacked_s / base_s,
             "n_docs": len(docs),
-            "repeats": repeats,
+            "repeats": args.repeats,
         },
-        _resolve(args, cfg, "out"),
+        args.out,
     )
     return EXIT_OK
 
@@ -399,32 +320,45 @@ def _cmd_bench(args, cfg) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file; flags override it")
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
-    sub.add_argument("--log-level", dest="log_level", help="debug, info, warning, or error")
+    sub.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    sub.add_argument(
+        "--log-level",
+        type=str.lower,
+        choices=("debug", "info", "warning", "error"),
+        default="warning",
+        help="log level (default %(default)s)",
+    )
     sub.add_argument("--abbreviations", help="custom abbreviation list for sentence splitting")
 
 
 def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--re", dest="re", type=float, help="evidence threshold r_e (default 0.01)")
-    sub.add_argument("--tau", type=float, help="filtered fraction cap tau (default 0.25)")
-    sub.add_argument("--k", type=int, help="sentences per group (default 3)")
+    sub.add_argument(
+        "--re", type=float, default=FilterConfig.r_e, help="evidence threshold r_e (default %(default)s)"
+    )
+    sub.add_argument(
+        "--tau", type=float, default=FilterConfig.tau, help="filtered fraction cap tau (default %(default)s)"
+    )
+    sub.add_argument(
+        "--k", type=int, default=FilterConfig.k, help="sentences per group (default %(default)s)"
+    )
 
 
 def _add_training_free_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--training-free",
-        dest="training_free",
-        action="store_const",
-        const=True,
+        action="store_true",
         help="accepted for compatibility; no effect, stacking never retrains",
     )
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", help="path to a saved model file")
-    sub.add_argument("--adapter", help="external detector command line")
+    sub.add_argument("--adapter", type=shlex.split, help="external detector command line")
     sub.add_argument(
-        "--adapter-timeout", dest="adapter_timeout", type=float, help="adapter call timeout in seconds"
+        "--adapter-timeout",
+        type=float,
+        default=30.0,
+        help="adapter call timeout in seconds (default %(default)s)",
     )
 
 
@@ -432,66 +366,101 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mgtstack", description="Stacked machine-text detection toolkit.")
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    p = subs.add_parser("train", help="fit the hashed logistic detector with filtered retraining")
-    p.add_argument("--corpus", help="labeled JSONL corpus")
-    p.add_argument("--out", help="output directory for model, trace, and validation report")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--split", help="train:val:test ratios (default 2:1:1)")
-    p.add_argument("--ngram-order", dest="ngram_order", type=int)
-    p.add_argument("--feature-mode", dest="feature_mode", choices=("word", "char"))
-    p.add_argument("--hash-buckets", dest="hash_buckets", type=int)
+    p = subs.add_parser(
+        "train", allow_abbrev=False, help="fit the hashed logistic detector with filtered retraining"
+    )
+    p.add_argument("--corpus", required=True, help="labeled JSONL corpus")
+    p.add_argument("--out", required=True, help="output directory for model, trace, and validation report")
+    p.add_argument(
+        "--epochs", type=int, default=TrainConfig.epochs, help="training epochs (default %(default)s)"
+    )
+    p.add_argument("--lr", type=float, default=TrainConfig.lr, help="learning rate (default %(default)s)")
+    p.add_argument(
+        "--batch-size", type=int, default=TrainConfig.batch_size, help="batch size (default %(default)s)"
+    )
+    p.add_argument(
+        "--split", type=_grid(float, ":"), default="2:1:1", help="train:val:test ratios (default %(default)s)"
+    )
+    p.add_argument("--ngram-order", type=int, default=1, help="n-gram order (default %(default)s)")
+    p.add_argument(
+        "--feature-mode", choices=("word", "char"), default="word", help="n-gram units (default %(default)s)"
+    )
+    p.add_argument(
+        "--hash-buckets", type=int, default=2**18, help="hashed feature count (default %(default)s)"
+    )
     _add_filter_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_train)
 
-    p = subs.add_parser("detect", help="stacked detection over a JSONL corpus")
-    p.add_argument("--corpus", help="JSONL corpus to score")
+    p = subs.add_parser("detect", allow_abbrev=False, help="stacked detection over a JSONL corpus")
+    p.add_argument("--corpus", required=True, help="JSONL corpus to score")
     p.add_argument("--out", help="output JSONL path (default stdout)")
-    p.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default %(default)s)")
     _add_training_free_flag(p)
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_detect)
 
-    p = subs.add_parser("eval", help="score a labeled corpus and write a metrics report")
-    p.add_argument("--corpus", help="labeled JSONL corpus")
+    p = subs.add_parser("eval", allow_abbrev=False, help="score a labeled corpus and write a metrics report")
+    p.add_argument("--corpus", required=True, help="labeled JSONL corpus")
     p.add_argument("--out", help="output JSON path (default stdout)")
-    p.add_argument("--stacked", action="store_const", const=True, help="evaluate the stacked wrapper")
+    p.add_argument("--stacked", action="store_true", help="evaluate the stacked wrapper")
     _add_training_free_flag(p)
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_eval)
 
-    p = subs.add_parser("simulate", help="synthetic-world experiment grid")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--world", choices=("categorical", "gaussian"))
-    p.add_argument("--dim", type=int, help="gaussian world dimension (default 2)")
-    p.add_argument("--delta", help="comma-separated separation grid (default 0.5)")
-    p.add_argument("--n", help="comma-separated sentence counts (default 20)")
-    p.add_argument("--alpha", help="comma-separated injection fractions (default 0)")
-    p.add_argument("--alpha-s", dest="alpha_s", help="comma-separated suspicion removal fractions")
-    p.add_argument("--alpha-h", dest="alpha_h", help="comma-separated mistaken removal fractions")
-    p.add_argument("--rho", help="comma-separated dependence strengths (default 0)")
-    p.add_argument("--trials", help="comma-separated trial counts (default 2000)")
-    p.add_argument("--jobs", type=int, help="worker processes over grid points (default 1)")
+    p = subs.add_parser(
+        "simulate",
+        allow_abbrev=False,
+        help="synthetic-world experiment grid",
+        description="Grid options take comma-separated values; every combination is run.",
+    )
+    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument(
+        "--world",
+        choices=("categorical", "gaussian"),
+        default="categorical",
+        help="world kind (default %(default)s)",
+    )
+    p.add_argument("--dim", type=int, default=2, help="gaussian world dimension (default %(default)s)")
+    p.add_argument("--delta", type=_grid(float), default="0.5", help="separation grid (default %(default)s)")
+    p.add_argument("--n", type=_grid(int), default="20", help="sentence counts (default %(default)s)")
+    p.add_argument(
+        "--alpha", type=_grid(float), default="0.0", help="injection fractions (default %(default)s)"
+    )
+    p.add_argument(
+        "--alpha-s",
+        type=_grid(float),
+        default="0.0",
+        help="suspicion removal fractions (default %(default)s)",
+    )
+    p.add_argument(
+        "--alpha-h", type=_grid(float), default="0.0", help="mistaken removal fractions (default %(default)s)"
+    )
+    p.add_argument(
+        "--rho", type=_grid(float), default="0.0", help="dependence strengths (default %(default)s)"
+    )
+    p.add_argument("--trials", type=_grid(int), default="2000", help="trial counts (default %(default)s)")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default %(default)s)")
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = subs.add_parser("overlap", help="consistent-sentence proportion between corpora")
-    p.add_argument("--human", help="human JSONL corpus")
-    p.add_argument("--machine", help="machine JSONL corpus")
+    p = subs.add_parser("overlap", allow_abbrev=False, help="consistent-sentence proportion between corpora")
+    p.add_argument("--human", required=True, help="human JSONL corpus")
+    p.add_argument("--machine", required=True, help="machine JSONL corpus")
     p.add_argument("--out", help="output JSON path (default stdout)")
     _add_common(p)
     p.set_defaults(func=_cmd_overlap)
 
-    p = subs.add_parser("bench", help="time base vs stacked detection")
-    p.add_argument("--corpus", help="JSONL corpus to score")
+    p = subs.add_parser("bench", allow_abbrev=False, help="time base vs stacked detection")
+    p.add_argument("--corpus", required=True, help="JSONL corpus to score")
     p.add_argument("--out", help="output JSON path (default stdout)")
-    p.add_argument("--repeats", type=int, help="timing repeats, best-of (default 3)")
+    p.add_argument(
+        "--repeats", type=_positive_int, default=3, help="timing repeats, best-of (default %(default)s)"
+    )
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)
@@ -508,29 +477,39 @@ class _JsonFormatter(logging.Formatter):
 
 
 def _setup_logging(level_name: str) -> None:
-    level = getattr(logging, level_name.upper(), None)
-    if not isinstance(level, int):
-        raise InvalidConfig(f"--log-level must be debug/info/warning/error, got {level_name!r}")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_JsonFormatter())
     root = logging.getLogger("mgtstack")
     root.handlers[:] = [handler]
-    root.setLevel(level)
+    root.setLevel(level_name.upper())
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """Insert the --config file's pairs as flags right after the verb, so
+    that the command line's own flags, parsed later, override them."""
+    pre = argparse.ArgumentParser(prog="mgtstack", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return argv
+    flags = []
+    for key, value in load_config_file(path).items():
+        if key == "config":
+            raise InvalidConfig(f"config file {path!r} may not set 'config'")
+        flag = "--" + key.replace("_", "-")
+        if value is not False:
+            flags.append(flag if value is True else f"{flag}={value}")
+    return [argv[0], *flags, *argv[1:]]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(_with_config(argv))
+        _setup_logging(args.log_level)
+        return args.func(args)
+    except SystemExit as exc:  # argparse exits on --help and on usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    try:
-        cfg = {}
-        config_path = getattr(args, "config", None)
-        if config_path:
-            cfg = load_config_file(config_path)
-        _setup_logging(str(_resolve(args, cfg, "log_level", "warning")))
-        return args.func(args, cfg)
     except CorpusFormatError as exc:
         logger.error("corpus error: %s", exc)
         sys.stderr.write(f"mgtstack: corpus error: {exc}\n")

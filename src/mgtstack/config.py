@@ -1,9 +1,10 @@
 """Flat key = value configuration files.
 
 The format is a TOML-like subset: one ``key = value`` pair per line, ``#``
-comments, no sections.  Values are parsed as booleans (true/false), integers,
-floats, quoted strings, or bare strings, in that order.  CLI flags always
-override file values.
+comments, no sections.  ``true`` and ``false`` (any case) become booleans for
+switches, and quotes around a value are stripped; every other value stays
+text, which the command-line parser converts as it converts its flags.  CLI
+flags always override file values.
 """
 
 from __future__ import annotations
@@ -17,19 +18,8 @@ def _parse_scalar(raw: str, lineno: int):
         raise InvalidConfig(f"config line {lineno}: empty value")
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
         return raw[1:-1]
-    low = raw.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    if raw.lower() in ("true", "false"):
+        return raw.lower() == "true"
     return raw
 
 

@@ -460,6 +460,8 @@ class ExternalDetector:
     def __post_init__(self) -> None:
         if not self.command:
             raise InvalidConfig("adapter command must be non-empty")
+        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise InvalidConfig(f"adapter timeout must be finite and positive, got {self.timeout!r}")
 
     def score(self, text: str) -> float:
         return self.score_batch([text])[0]

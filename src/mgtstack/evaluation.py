@@ -12,7 +12,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -263,22 +263,8 @@ def evaluate_scores(
 
 
 def require_labels(docs: Sequence[Document]) -> list[int]:
-    """The documents' labels; raises InvalidConfig if any is missing."""
-    labels = [d.label for d in docs]
-    if any(l is None for l in labels):
-        raise InvalidConfig("evaluation requires labeled documents")
-    return labels
-
-
-def evaluate_detector(
-    score_fn: Callable[[str], float],
-    docs: Sequence[Document],
-    fpr_caps: Sequence[float] = DEFAULT_FPR_CAPS,
-    detector_id: str = "",
-    corpus_id: str = "",
-    seed: int | None = None,
-) -> EvalReport:
-    """Score every labeled document and summarize; unlabeled docs are rejected."""
-    labels = require_labels(docs)
-    scores = [score_fn(d.text) for d in docs]
-    return evaluate_scores(scores, labels, fpr_caps, detector_id, corpus_id, seed)
+    """The documents' labels; raises DegenerateDataset naming the first unlabeled one."""
+    for doc in docs:
+        if doc.label is None:
+            raise DegenerateDataset(f"corpus has unlabeled documents (first: {doc.id!r})")
+    return [doc.label for doc in docs]

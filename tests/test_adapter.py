@@ -125,6 +125,12 @@ def test_empty_command_rejected():
         ExternalDetector(())
 
 
+@pytest.mark.parametrize("timeout", [-1.0, 0.0, float("inf"), float("nan")])
+def test_timeout_must_be_finite_and_positive(timeout):
+    with pytest.raises(InvalidConfig, match="timeout"):
+        ExternalDetector(("cat",), timeout=timeout)
+
+
 def test_scores_round_trip_json_strings(tmp_path):
     # Exotic text must arrive intact: the adapter reports the decoded length.
     body = """\

@@ -144,6 +144,14 @@ def test_train_rejects_unlabeled_corpus(capsys, tmp_path):
     assert "unlabeled" in err
 
 
+def test_train_checks_validation_split_before_training(capsys, corpus_path, tmp_path):
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, ["train", "--corpus", corpus_path, "--out", str(out_dir), "--split", "1:0:0"])
+    assert code == 3
+    assert "validation split" in err
+    assert not out_dir.exists()
+
+
 def test_train_bad_split_spec(capsys, corpus_path, tmp_path):
     code, _, err = run(
         capsys,
@@ -254,6 +262,74 @@ def test_config_file_applies_and_flags_override(capsys, corpus_path, model_path,
     assert all(json.loads(line)["n_filtered"] == 0 for line in out.splitlines())
 
 
+CONFIG_FORMS = {
+    "detect": [("corpus", "C"), ("model", "M"), ("re", "0.45"), ("tau", "0.5"), ("k", "1"), ("jobs", "2")],
+    "eval": [
+        ("corpus", "C"), ("model", "M"), ("stacked", True), ("re", "0.45"), ("tau", "0.5"), ("seed", "4"),
+    ],
+    "train": [
+        ("corpus", "C"), ("epochs", "1"), ("batch-size", "8"), ("split", "2:1:1"), ("ngram-order", "2"),
+        ("hash-buckets", "1024"), ("tau", "0.4"), ("k", "1"), ("seed", "3"),
+    ],
+    "simulate": [
+        ("world", "gaussian"), ("dim", "3"), ("delta", "0.3,0.6"), ("n", "6"), ("rho", "0,0.3"),
+        ("alpha-s", "0.1"), ("trials", "100"), ("seed", "2"),
+    ],
+    "overlap": [("human", "C"), ("machine", "C")],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(CONFIG_FORMS))
+def test_config_file_matches_flags(capsys, corpus_path, model_path, tmp_path, verb):
+    opts = [(key, {"C": corpus_path, "M": model_path}.get(value, value)) for key, value in CONFIG_FORMS[verb]]
+    outputs = []
+    for form in ("flags", "config"):
+        out = tmp_path / form
+        if form == "flags":
+            argv = [tok for key, value in opts for tok in (f"--{key}", value) if tok is not True]
+        else:
+            cfg = tmp_path / "run.cfg"
+            lines = [f"{key} = {'true' if value is True else value}\n" for key, value in opts]
+            cfg.write_text("".join(lines), encoding="utf-8")
+            argv = ["--config", str(cfg)]
+        assert run(capsys, [verb, *argv, "--out", str(out)])[0] == 0
+        files = [out / "model.json", out / "eval_val.json"] if verb == "train" else [out]
+        outputs.append([f.read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "body, flags, named",
+    [
+        ("tua = 0.5\n", [], "--tua"),
+        ("modle = x\n", [], "--modle"),
+        ("seed = 1.5\n", [], "--seed"),
+        ("ta = 0.5\n", [], "--ta"),
+        ("", ["--ta", "0.5"], "--ta"),
+        ("config = other.cfg\n", [], "may not set 'config'"),
+        ('adapter = python3 "unclosed\n', [], "--adapter"),
+    ],
+    ids=["typo-tau", "typo-model", "bad-int", "key-prefix", "flag-prefix", "nested-config", "unclosed-quote"],
+)
+def test_bad_option_is_config_error(capsys, corpus_path, model_path, tmp_path, body, flags, named):
+    cfg = tmp_path / "detect.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    code, out, err = run(
+        capsys, ["detect", "--corpus", corpus_path, "--model", model_path, "--config", str(cfg), *flags]
+    )
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+def test_config_value_may_start_with_dash(capsys, corpus_path, model_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "detect.cfg"
+    cfg.write_text(f"corpus = {corpus_path}\nmodel = {model_path}\nout = -rows.jsonl\n", encoding="utf-8")
+    assert run(capsys, ["detect", "--config", str(cfg)])[0] == 0
+    assert len((tmp_path / "-rows.jsonl").read_text(encoding="utf-8").splitlines()) == 40
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
 
@@ -334,6 +410,17 @@ def test_failing_adapter_is_adapter_error(capsys, corpus_path, tmp_path):
     assert "adapter error" in err
 
 
+@pytest.mark.parametrize("verb", ["detect", "simulate"])
+def test_jobs_below_one_is_config_error(capsys, corpus_path, model_path, tmp_path, verb):
+    argv = {
+        "detect": ["detect", "--corpus", corpus_path, "--model", model_path],
+        "simulate": ["simulate", "--out", str(tmp_path / "x.csv"), "--trials", "100"],
+    }[verb]
+    code, out, err = run(capsys, [*argv, "--jobs", "0"])
+    assert code == 2
+    assert out == "" and "--jobs" in err
+
+
 def test_model_and_adapter_conflict(capsys, corpus_path, model_path):
     code, _, err = run(
         capsys,
@@ -399,6 +486,30 @@ def test_detect_launches_adapter_once_per_pass(capsys, corpus_path, recorder, ta
     assert code == 0
     assert len(out.splitlines()) == 40
     assert len(launches(log)) == expected
+
+
+def test_negative_adapter_timeout_never_launches(capsys, corpus_path, recorder):
+    command, log = recorder
+    code, _, err = run(
+        capsys, ["detect", "--corpus", corpus_path, "--adapter", command, "--adapter-timeout", "-1"]
+    )
+    assert code == 2
+    assert "timeout" in err
+    assert not log.exists()
+
+
+def test_config_switch_takes_true_and_false(capsys, corpus_path, tmp_path, recorder):
+    # eval --stacked launches the adapter once per pass, plain eval once.
+    command, log = recorder
+    cfg = tmp_path / "eval.cfg"
+    argv = ["eval", "--corpus", corpus_path, "--adapter", command, "--config", str(cfg)]
+    counts = []
+    for body in ("stacked = true\n", "stacked = false\n"):
+        cfg.write_text(f"{body}tau = 0.5\nk = 1\n", encoding="utf-8")
+        assert run(capsys, argv)[0] == 0
+        counts.append(len(launches(log)))
+        log.unlink()
+    assert counts == [2, 1]
 
 
 def test_base_arms_launch_adapter_once(capsys, corpus_path, recorder):
@@ -483,6 +594,18 @@ def test_eval_report(capsys, corpus_path, model_path, tmp_path):
     assert {"auroc", "tpr_at_fpr", "n_pos", "n_neg"} <= set(report)
     assert report["n_pos"] + report["n_neg"] == 40
     assert set(report["tpr_at_fpr"]) == {"0.005", "0.05"}
+
+
+def test_eval_rejects_unlabeled_corpus(capsys, model_path, tmp_path):
+    docs = synth_corpus(SynthSpec(n_docs=8, seed=3, sentences_per_doc=(3, 4)))
+    docs[5] = dataclasses.replace(docs[5], label=None)
+    path = tmp_path / "partly_labeled.jsonl"
+    save_corpus(str(path), docs)
+    for stacked in ([], ["--stacked"]):
+        code, out, err = run(capsys, ["eval", "--corpus", str(path), "--model", model_path, *stacked])
+        assert code == 3
+        assert out == ""
+        assert "unlabeled" in err and repr(docs[5].id) in err
 
 
 def test_eval_stacked_wrapper(capsys, corpus_path, model_path, tmp_path):

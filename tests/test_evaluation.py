@@ -19,7 +19,6 @@ from mgtstack import (
     auroc,
     bootstrap_auroc_ci,
     consistent_sentence_proportion,
-    evaluate_detector,
     evaluate_scores,
     inject_human_sentences,
     normalize_sentence,
@@ -360,18 +359,3 @@ def test_evaluate_scores_report_fields():
     assert payload["auroc"] == 1.0
     assert payload["tpr_at_fpr"] == {"0.005": 1.0, "0.05": 1.0}
     assert payload["seed"] == 5
-
-
-def test_evaluate_detector_scores_documents():
-    docs = [
-        Document.from_text("m", "kaka kaka kaka.", label=1),
-        Document.from_text("h", "bobo bobo bobo.", label=0),
-    ]
-    report = evaluate_detector(lambda t: 1.0 if "kaka" in t else 0.0, docs)
-    assert report.auroc == 1.0
-
-
-def test_evaluate_detector_rejects_unlabeled():
-    docs = [Document.from_text("m", "kaka kaka.", label=1), Document.from_text("u", "bobo bobo.")]
-    with pytest.raises(InvalidConfig):
-        evaluate_detector(lambda t: 0.5, docs)
