@@ -77,6 +77,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_ADAPTER = 5
 
+BENCH_CHUNK_DOCS = 50  # documents per timed chunk of each bench arm
+
 
 # ---------------------------------------------------------------------------
 # option plumbing
@@ -292,13 +294,18 @@ def _cmd_bench(args) -> int:
         run()
         return time.perf_counter() - t0
 
-    # Alternate the two arms so clock-speed drift hits both equally, then
-    # take the best of each; a sequential block per arm would let a slow
-    # stretch land entirely on one side and skew the ratio.
+    # Alternate the two arms chunk by chunk and sum each arm over the chunks,
+    # so clock-speed drift hits both within tens of milliseconds; timing
+    # whole-corpus runs would let a slow stretch land on one arm and skew
+    # the ratio.  Each repeat covers the corpus; report the best of each arm.
+    chunks = [docs[i : i + BENCH_CHUNK_DOCS] for i in range(0, len(docs), BENCH_CHUNK_DOCS)]
     base_times, stacked_times = [], []
     for _ in range(args.repeats):
-        base_times.append(timed(lambda: score_batch(base, [doc.text for doc in docs])))
-        stacked_times.append(timed(lambda: score_corpus(base, docs, fc)))
+        base_times.append(0.0)
+        stacked_times.append(0.0)
+        for chunk in chunks:
+            base_times[-1] += timed(lambda: score_batch(base, [doc.text for doc in chunk]))
+            stacked_times[-1] += timed(lambda: score_corpus(base, chunk, fc))
     base_s = min(base_times)
     stacked_s = min(stacked_times)
     _write_json(

@@ -652,6 +652,17 @@ def test_bench_fields(capsys, corpus_path, model_path, tmp_path):
     assert payload["ratio"] > 0.0
 
 
+def test_bench_alternates_arms_chunk_by_chunk(capsys, corpus_path, model_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "BENCH_CHUNK_DOCS", 15)
+    monkeypatch.setattr(cli, "score_batch", lambda base, texts: calls.append(("base", len(texts))))
+    monkeypatch.setattr(cli, "score_corpus", lambda base, docs, fc: calls.append(("stacked", len(docs))))
+    code, out, _ = run(capsys, ["bench", "--corpus", corpus_path, "--model", model_path, "--repeats", "2"])
+    assert code == 0 and json.loads(out)["n_docs"] == 40
+    one_repeat = [("base", 15), ("stacked", 15), ("base", 15), ("stacked", 15), ("base", 10), ("stacked", 10)]
+    assert calls == one_repeat * 2
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
