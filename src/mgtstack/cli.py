@@ -327,7 +327,6 @@ def _cmd_bench(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file; flags override it")
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
     sub.add_argument(
         "--log-level",
         type=str.lower,
@@ -335,6 +334,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default="warning",
         help="log level (default %(default)s)",
     )
+
+
+def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+
+
+def _add_abbreviations_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--abbreviations", help="custom abbreviation list for sentence splitting")
 
 
@@ -397,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_filter_flags(p)
     _add_common(p)
+    _add_seed_flag(p)
+    _add_abbreviations_flag(p)
     p.set_defaults(func=_cmd_train)
 
     p = subs.add_parser("detect", allow_abbrev=False, help="stacked detection over a JSONL corpus")
@@ -407,6 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)
+    p.add_argument("--seed", type=int, help="accepted for compatibility; no effect, detection is not random")
+    _add_abbreviations_flag(p)
     p.set_defaults(func=_cmd_detect)
 
     p = subs.add_parser("eval", allow_abbrev=False, help="score a labeled corpus and write a metrics report")
@@ -417,6 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)
+    _add_seed_flag(p)
+    _add_abbreviations_flag(p)
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser(
@@ -453,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_grid(int), default="2000", help="trial counts (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default %(default)s)")
     _add_common(p)
+    _add_seed_flag(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("overlap", allow_abbrev=False, help="consistent-sentence proportion between corpora")
@@ -460,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", required=True, help="machine JSONL corpus")
     p.add_argument("--out", help="output JSON path (default stdout)")
     _add_common(p)
+    _add_abbreviations_flag(p)
     p.set_defaults(func=_cmd_overlap)
 
     p = subs.add_parser("bench", allow_abbrev=False, help="time base vs stacked detection")
@@ -471,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)
+    _add_abbreviations_flag(p)
     p.set_defaults(func=_cmd_bench)
 
     return parser

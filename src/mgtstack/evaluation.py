@@ -85,22 +85,39 @@ def bootstrap_auroc_ci(
     level: float = 0.95,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Percentile bootstrap CI for AUROC, resampling each class independently."""
+    """Percentile bootstrap CI for AUROC, resampling each class independently.
+
+    A resample's AUROC is its Mann-Whitney U, counted from the draws: with
+    ``c`` the cumulative drawn count over the once-sorted negatives, positive
+    i beats ``c[lo[i]]`` of them and ties ``c[hi[i]] - c[lo[i]]``.  2U is an
+    exact integer, so the statistic is the float ``auroc`` gives the resample.
+    """
     if n_boot < 1:
         raise InvalidConfig("n_boot must be positive")
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
+    if pos.ndim != 1 or neg.ndim != 1:
+        raise InvalidConfig("scores must be 1-d sequences")
     if pos.size == 0 or neg.size == 0:
         raise DegenerateDataset("both classes are required")
+    if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+        raise InvalidConfig("scores must be finite")
     rng = rng or np.random.default_rng(0)
-    labels = np.r_[np.ones(pos.size, dtype=np.int64), np.zeros(neg.size, dtype=np.int64)]
+    order = np.argsort(neg, kind="mergesort")
+    rank = np.empty(neg.size, dtype=np.int64)
+    rank[order] = np.arange(neg.size)
+    ordered = neg[order]
+    lo = np.searchsorted(ordered, pos, side="left")
+    hi = np.searchsorted(ordered, pos, side="right")
+    c = np.zeros(neg.size + 1, dtype=np.int64)
+    pairs = pos.size * neg.size
     stats = np.empty(n_boot)
     for b in range(n_boot):
-        ps = pos[rng.integers(0, pos.size, pos.size)]
-        ns = neg[rng.integers(0, neg.size, neg.size)]
-        stats[b] = auroc(np.r_[ps, ns], labels)
-    lo, hi = np.quantile(stats, [(1 - level) / 2, 1 - (1 - level) / 2])
-    return float(lo), float(hi)
+        cp = np.bincount(rng.integers(0, pos.size, pos.size), minlength=pos.size)
+        np.cumsum(np.bincount(rank[rng.integers(0, neg.size, neg.size)], minlength=neg.size), out=c[1:])
+        stats[b] = (cp @ (c[lo] + c[hi]) / 2) / pairs
+    ci_lo, ci_hi = np.quantile(stats, [(1 - level) / 2, 1 - (1 - level) / 2])
+    return float(ci_lo), float(ci_hi)
 
 
 # --------------------------------------------------------------------------

@@ -663,6 +663,24 @@ def test_bench_alternates_arms_chunk_by_chunk(capsys, corpus_path, model_path, m
     assert calls == one_repeat * 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--trials", "20", "--abbreviations", "/nonexistent"],
+        ["overlap", "--human", "C", "--machine", "C", "--seed", "1"],
+        ["bench", "--corpus", "C", "--model", "M", "--seed", "1"],
+    ],
+    ids=["simulate-abbreviations", "overlap-seed", "bench-seed"],
+)
+def test_options_a_verb_never_reads_are_usage_errors(capsys, corpus_path, model_path, tmp_path, argv):
+    out = tmp_path / "out"
+    argv = [{"C": corpus_path, "M": model_path}.get(tok, tok) for tok in argv]
+    code, _, err = run(capsys, [*argv, "--out", str(out)])
+    assert code == 2
+    assert "unrecognized arguments" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -205,6 +205,55 @@ def test_bootstrap_ci_validation():
         bootstrap_auroc_ci([0.5], [0.4], n_boot=0)
 
 
+@pytest.mark.parametrize(
+    "bad", [[0.5, math.nan], [0.5, math.inf], [0.5, -math.inf], [[0.1, 0.2]]], ids=["nan", "inf", "-inf", "2d"]
+)
+@pytest.mark.parametrize("side", ["pos", "neg"])
+def test_bootstrap_ci_rejects_bad_scores_before_drawing(bad, side):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    args = (bad, [0.3, 0.4]) if side == "pos" else ([0.3, 0.4], bad)
+    with pytest.raises(InvalidConfig):
+        bootstrap_auroc_ci(*args, n_boot=5, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def reference_bootstrap_auroc_ci(pos_scores, neg_scores, n_boot, level, rng):
+    """The resample-and-rank loop: one full ``auroc`` per resample."""
+    pos = np.asarray(pos_scores, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    labels = np.r_[np.ones(pos.size, dtype=np.int64), np.zeros(neg.size, dtype=np.int64)]
+    stats = np.empty(n_boot)
+    for b in range(n_boot):
+        ps = pos[rng.integers(0, pos.size, pos.size)]
+        ns = neg[rng.integers(0, neg.size, neg.size)]
+        stats[b] = auroc(np.r_[ps, ns], labels)
+    lo, hi = np.quantile(stats, [(1 - level) / 2, 1 - (1 - level) / 2])
+    return float(lo), float(hi)
+
+
+tied_scores = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
+untied_scores = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+@given(
+    st.sampled_from([tied_scores, untied_scores]).flatmap(
+        lambda scores: st.tuples(st.lists(scores, min_size=1, max_size=30), st.lists(scores, min_size=1, max_size=30))
+    ),
+    st.integers(min_value=1, max_value=50),
+    st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_bootstrap_ci_matches_resample_and_rank_loop_bit_for_bit(classes, n_boot, level, seed):
+    pos, neg = classes
+    fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = bootstrap_auroc_ci(pos, neg, n_boot=n_boot, level=level, rng=fast_rng)
+    assert fast == reference_bootstrap_auroc_ci(pos, neg, n_boot, level, ref_rng)
+    # Same draws in the same order: both generators end in the same state.
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # --------------------------------------------------------------------------
 # splitting
 
