@@ -23,7 +23,7 @@ import logging
 import math
 import re
 import subprocess
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
@@ -296,9 +296,9 @@ class _LmTable:
     vocab_size: int  # distinct observed tokens + 1 slot for unseen
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise InvalidConfig(f"n-gram order must be a positive integer, got {self.n!r}")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
+        if isinstance(self.lam, bool) or not (self.lam > 0 and math.isfinite(self.lam)):
             raise InvalidConfig(f"lambda must be finite and positive, got {self.lam!r}")
 
     @classmethod
@@ -310,22 +310,31 @@ class _LmTable:
             vocab.add(gram[-1])
         return cls(n=n, lam=lam, ngrams=ngrams, contexts=contexts, vocab_size=len(vocab) + 1)
 
-    def terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> list[float]:
-        """log P(token | its n-1 predecessors) for each token, in order.
 
-        The predecessors of the first tokens come from ``context`` (the text
-        before ``tokens``), padded with BOS markers where it runs out.
-        """
+class _TermTable(dict):
+    """log P(gram[-1] | gram[:-1]) under one table, stored for its own n-grams and
+    ``more``.  Any other n-gram has count 0, so its term depends on its context
+    alone: ``unseen`` holds it per context.  Bounded by the model, not the text."""
+
+    def __init__(self, table: _LmTable, more: Iterable[tuple[str, ...]]) -> None:
+        self.n = table.n
+        lam, lam_v, log = table.lam, table.lam * table.vocab_size, math.log
+        count, ctx_count = table.ngrams.get, table.contexts.get
+        grams = table.ngrams.keys() | {gram for gram in more if len(gram) == self.n}
+        super().__init__({g: log(count(g, 0) + lam) - log(ctx_count(g[:-1], 0) + lam_v) for g in grams})
+        self.unseen = {ctx: log(0 + lam) - log(c + lam_v) for ctx, c in table.contexts.items()}
+        self.unseen_default = log(0 + lam) - log(0 + lam_v)
+
+    def terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> list[float]:
+        """log P(token | its n-1 predecessors) for each token, in order.  The first
+        tokens' predecessors come from ``context`` (the text before ``tokens``),
+        padded with BOS markers where it runs out."""
         m = self.n - 1
         history = [_BOS] * m + list(context[len(context) - m :])
         padded = history[len(history) - m :] + list(tokens)
-        lam = self.lam
-        lam_v = lam * self.vocab_size
-        ngrams = self.ngrams.get
-        contexts = self.contexts.get
-        log = math.log
+        get, unseen, default = self.get, self.unseen.get, self.unseen_default
         return [
-            log(ngrams(gram, 0) + lam) - log(contexts(gram[:-1], 0) + lam_v)
+            t if (t := get(gram)) is not None else unseen(gram[:-1], default)
             for gram in zip(*(padded[j:] for j in range(self.n)))
         ]
 
@@ -370,6 +379,19 @@ class NGramLMDetector:
 
     machine: _LmTable
     human: _LmTable
+    # Each class's term table also stores the other class's n-grams, which it
+    # scores too.  Derived from the counts: not in eq, repr or pickle.
+    _memo: tuple[_TermTable, _TermTable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        memo = _TermTable(self.machine, self.human.ngrams), _TermTable(self.human, self.machine.ngrams)
+        object.__setattr__(self, "_memo", memo)
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.machine, self.human)
+
+    def _terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> tuple[list[float], list[float]]:
+        return self._memo[0].terms(tokens, context), self._memo[1].terms(tokens, context)
 
     @property
     def n(self) -> int:
@@ -394,8 +416,8 @@ class NGramLMDetector:
 
     def log_ratio(self, text: str) -> float:
         """Unnormalized log M(text) - log H(text)."""
-        tokens = tokenize(text)
-        return _running_sum(self.machine.terms(tokens)) - _running_sum(self.human.terms(tokens))
+        machine, human = self._terms(tokenize(text))
+        return _running_sum(machine) - _running_sum(human)
 
     def score(self, text: str, *, terms: list | None = None) -> float:
         """Likelihood-ratio score of ``text``.
@@ -405,7 +427,7 @@ class NGramLMDetector:
         scored texts without scoring any token again.
         """
         tokens = tokenize(text)
-        machine, human = self.machine.terms(tokens), self.human.terms(tokens)
+        machine, human = self._terms(tokens)
         if terms is not None:
             terms.append((tokens, machine, human))
         return _lr_score(machine, human)
@@ -432,8 +454,9 @@ class NGramLMDetector:
                 continue
             head = tokens[:reach]
             if kept and head:
-                m = self.machine.terms(head, kept) + m[len(head) :]
-                h = self.human.terms(head, kept) + h[len(head) :]
+                head_m, head_h = self._terms(head, kept)
+                m = head_m + m[len(head) :]
+                h = head_h + h[len(head) :]
             kept += tokens
             kept_machine += m
             kept_human += h
@@ -519,10 +542,12 @@ def _lm_counts_to_json(ngrams: dict[tuple[str, ...], int]) -> dict[str, int]:
 
 
 def _lm_counts_from_json(raw: dict[str, int], n: int) -> dict[tuple[str, ...], int]:
+    if not isinstance(raw, dict):
+        raise ModelFormatError("n-gram counts must be a JSON object")
     counts: dict[tuple[str, ...], int] = {}
     for key, c in raw.items():
         gram = tuple(key.split(_NGRAM_SEP))
-        if len(gram) != n or not isinstance(c, int) or c < 0:
+        if len(gram) != n or type(c) is not int or c < 0:
             raise ModelFormatError(f"corrupt n-gram entry {key!r}")
         counts[gram] = c
     return counts
@@ -595,16 +620,14 @@ def load_model(path: str) -> NGramLogRegModel | NGramLMDetector:
                 hash_seed=payload["hash_seed"],
             )
         if kind == "ngram_lm":
-            n = payload["n"]
-            lam = float(payload["lambda"])
-            return NGramLMDetector(
-                machine=_LmTable.from_ngrams(
-                    n, lam, _lm_counts_from_json(payload["machine_ngrams"], n)
-                ),
-                human=_LmTable.from_ngrams(
-                    n, lam, _lm_counts_from_json(payload["human_ngrams"], n)
-                ),
+            n, lam = payload["n"], payload["lambda"]
+            if type(lam) not in (int, float):  # float() would take "0.1" and true
+                raise ModelFormatError(f"model file {path!r} has a non-numeric lambda: {lam!r}")
+            machine, human = (
+                _LmTable.from_ngrams(n, float(lam), _lm_counts_from_json(payload[key], n))
+                for key in ("machine_ngrams", "human_ngrams")
             )
+            return NGramLMDetector(machine=machine, human=human)
     except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise ModelFormatError(f"model file {path!r} is missing or corrupt fields: {exc}") from None
     raise ModelFormatError(f"unknown model kind {kind!r}")

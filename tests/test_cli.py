@@ -208,7 +208,12 @@ def test_detect_training_free_flag(capsys, corpus_path, model_path):
     assert len(out.splitlines()) == 40
 
 
-def test_detect_jobs_parity(capsys, corpus_path, model_path, tmp_path):
+@pytest.mark.parametrize("kind", ["logreg", "lm2"])
+def test_detect_jobs_parity(capsys, corpus_path, model_path, tmp_path, kind):
+    # The workers get the detector by pickle; an LM rebuilds its term tables.
+    if kind == "lm2":
+        model_path = str(tmp_path / "lm2.json")
+        save_model(NGramLMDetector.fit(load_corpus(corpus_path), n=2), model_path)
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
     assert run(
@@ -382,6 +387,9 @@ def test_nonfinite_model_is_numeric_error(capsys, corpus_path, model_path, tmp_p
         ("lm", {"lambda": 0}),
         ("lm", {"lambda": -1}),
         ("lm", {"lambda": float("nan")}),
+        ("lm", {"lambda": "0.1"}),
+        ("lm", {"n": True}),
+        ("lm", {"machine_ngrams": []}),
     ],
 )
 def test_malformed_model_field_is_data_error(capsys, corpus_path, model_path, tmp_path, kind, fields):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mgtstack import (
     DegenerateDataset,
     Detector,
     Document,
+    FilterConfig,
     InvalidConfig,
     ModelFormatError,
     NGramLMDetector,
@@ -324,6 +326,32 @@ def test_lm_bigram_context_handling():
     assert det.score("bb aa bb aa bb aa") < 0.5
 
 
+def test_lm_term_tables_stay_out_of_model_identity(tmp_path):
+    docs = [
+        Document.from_text("m1", "mm nn mm. Nn mm.", label=1),
+        Document.from_text("h1", "hh nn hh.", label=0),
+    ]
+    det = NGramLMDetector.fit(docs, n=2, lam=0.1)
+    # Each class's table stores the n-grams only the other class has seen.
+    assert ("hh", "nn") in det._memo[0] and ("mm", "nn") in det._memo[1]
+    path = tmp_path / "lm.json"
+    save_model(det, str(path))
+    saved, shown, pickled = path.read_bytes(), repr(det), pickle.dumps(det)
+    sizes = [len(memo) for memo in det._memo]
+    det.score("qq rr. Ss qq.")  # unseen words only
+    assert [len(memo) for memo in det._memo] == sizes
+    det.score("mm nn hh nn mm")
+    det.score_two_pass(["mm nn.", "hh hh.", "nn mm."], FilterConfig(r_e=0.3, tau=0.5, k=1))
+    assert det == load_model(str(path))
+    assert repr(det) == shown
+    assert pickle.dumps(det) == pickled
+    assert b"_memo" not in pickled  # the --jobs workers rebuild it
+    save_model(det, str(path))
+    assert path.read_bytes() == saved
+    clone = pickle.loads(pickled)
+    assert clone == det and clone._memo == det._memo
+
+
 def test_lm_fit_validation():
     with pytest.raises(DegenerateDataset):
         NGramLMDetector.fit([Document.from_text("m", "mm.", label=1)], n=1)
@@ -331,6 +359,12 @@ def test_lm_fit_validation():
         NGramLMDetector.fit(lm_corpus(), n=0)
     with pytest.raises(InvalidConfig):
         NGramLMDetector.fit(lm_corpus(), lam=0.0)
+    # Booleans pass isinstance(..., int) but would save as JSON true, which
+    # the loader rejects.
+    with pytest.raises(InvalidConfig):
+        NGramLMDetector.fit(lm_corpus(), n=True)
+    with pytest.raises(InvalidConfig):
+        NGramLMDetector.fit(lm_corpus(), lam=True)
 
 
 # --------------------------------------------------------------------------
@@ -405,6 +439,11 @@ MALFORMED_LM_FIELDS = {
     "lambda-negative": {"lambda": -1},
     "lambda-nan": {"lambda": float("nan")},
     "n-zero": {"n": 0, "machine_ngrams": {}, "human_ngrams": {}},
+    "n-true": {"n": True},
+    "lambda-string": {"lambda": "0.1"},
+    "lambda-true": {"lambda": True},
+    "machine-ngrams-list": {"machine_ngrams": [["mm", 2]]},
+    "human-ngrams-string": {"human_ngrams": "hh"},
 }
 
 
@@ -454,10 +493,11 @@ def test_corrupt_lm_counts_raise(tmp_path):
     det = NGramLMDetector.fit(lm_corpus(), n=1, lam=0.1)
     path = tmp_path / "lm.json"
     save_model(det, str(path))
-    data = path.read_text("utf-8").replace('"mm":2', '"mm":-2')
-    path.write_text(data, "utf-8")
-    with pytest.raises(ModelFormatError):
-        load_model(str(path))
+    data = path.read_text("utf-8")
+    for bad in ('"mm":-2', '"mm":true'):
+        path.write_text(data.replace('"mm":2', bad), "utf-8")
+        with pytest.raises(ModelFormatError):
+            load_model(str(path))
 
 
 def test_missing_model_file_raises_oserror(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -33,6 +34,7 @@ from mgtstack import (
     train_plain,
 )
 
+from mgtstack.detectors import _BOS
 from mgtstack.retention import compute_mask
 from mgtstack.segmentation import group_subsequences, group_texts, reconstruct
 from mgtstack.stacked import first_pass
@@ -257,6 +259,42 @@ HYP_LMS = {
 # Tables of different orders: a join must be re-scored as far as the longer
 # context reaches.
 HYP_LMS["1/3"] = NGramLMDetector(machine=HYP_LMS[1].machine, human=HYP_LMS[3].human)
+
+
+def reference_terms(table, tokens, context=()):
+    """Per-token terms computed one position at a time, as before the term tables."""
+    m = table.n - 1
+    history = [_BOS] * m + list(context[len(context) - m :])
+    padded = history[len(history) - m :] + list(tokens)
+    lam = table.lam
+    lam_v = lam * table.vocab_size
+    ngrams = table.ngrams.get
+    contexts = table.contexts.get
+    log = math.log
+    return [
+        log(ngrams(gram, 0) + lam) - log(contexts(gram[:-1], 0) + lam_v)
+        for gram in zip(*(padded[j:] for j in range(table.n)))
+    ]
+
+
+# Every token the fit documents hold, some seen by one class only
+# ("i", "stanbul" from İstanbul; "strasse"), plus one no document holds.
+TERM_TOKENS = sorted({t for w in HYP_WORDS for t in tokenize(w)}) + ["zz"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    order=st.sampled_from(list(HYP_LMS)),
+    tokens=st.lists(st.sampled_from(TERM_TOKENS), max_size=10),
+    context=st.lists(st.sampled_from(TERM_TOKENS), max_size=4),
+)
+def test_lm_term_tables_match_reference_bit_for_bit(order, tokens, context):
+    # Contexts both shorter and longer than n - 1, for orders 1 to 3 and a
+    # detector whose tables differ in order.
+    det = HYP_LMS[order]
+    for table, memo in zip((det.machine, det.human), det._memo):
+        assert memo.terms(tokens, context) == reference_terms(table, tokens, context)
+        assert memo.terms(tokens) == reference_terms(table, tokens)
 
 
 @settings(max_examples=300, deadline=None)
