@@ -23,6 +23,7 @@ import logging
 import math
 import re
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Protocol, Sequence, runtime_checkable
@@ -104,12 +105,41 @@ def _check_hashing(feature_mode: str, n: int, hash_buckets: int, hash_seed: int)
     """The rules for a hashed n-gram feature layout."""
     if feature_mode not in ("word", "char"):
         raise InvalidConfig(f"feature_mode must be 'word' or 'char', got {feature_mode!r}")
-    if not isinstance(n, int) or n < 1:
+    # type() rather than isinstance(): True is an int, and would pass as 1
+    if type(n) is not int or n < 1:
         raise InvalidConfig(f"n-gram order must be a positive integer, got {n!r}")
-    if not isinstance(hash_buckets, int) or hash_buckets < 1:
+    if type(hash_buckets) is not int or hash_buckets < 1:
         raise InvalidConfig(f"hash_buckets must be a positive integer, got {hash_buckets!r}")
-    if not isinstance(hash_seed, int) or not 0 <= hash_seed < 2**64:
+    if type(hash_seed) is not int or not 0 <= hash_seed < 2**64:
         raise InvalidConfig(f"hash_seed must be an integer in [0, 2**64), got {hash_seed!r}")
+
+
+# Keys one layout's bucket memo stores; past this, new keys are hashed on
+# every lookup.  A word-bigram key costs about 130 bytes, so a full memo is
+# about 17 MB.
+_BUCKET_MEMO_KEYS = 2**17
+
+
+class _BucketMemo(dict):
+    """n-gram key -> bucket index for one hashing layout.
+
+    The index is a pure function of the key, so the memo cannot change a
+    feature vector; it only spares ``_hash64`` for keys seen before.
+    """
+
+    def __init__(self, hash_buckets: int, hash_seed: int) -> None:
+        super().__init__()
+        self.hash_buckets = hash_buckets
+        self.hash_seed = hash_seed
+
+    def __missing__(self, key: str) -> int:
+        idx = _hash64(key.encode("utf-8"), self.hash_seed) % self.hash_buckets
+        if len(self) < _BUCKET_MEMO_KEYS:
+            self[key] = idx
+        return idx
+
+
+_bucket_memo = lru_cache(maxsize=4)(_BucketMemo)  # one memo per layout; a process normally uses one
 
 
 @lru_cache(maxsize=32768)
@@ -129,11 +159,10 @@ def hashed_features(
     else:
         units = text.casefold()
         join = "".join
-    counts: dict[int, int] = {}
+    bucket = _bucket_memo(hash_buckets, hash_seed).__getitem__
+    counts: Counter[int] = Counter()
     for order in range(1, n + 1):
-        for i in range(len(units) - order + 1):
-            idx = _hash64(join(units[i : i + order]).encode("utf-8"), hash_seed) % hash_buckets
-            counts[idx] = counts.get(idx, 0) + 1
+        counts.update(map(bucket, map(join, zip(*(units[j:] for j in range(order))))))
     return tuple(sorted(counts.items()))
 
 
@@ -238,21 +267,26 @@ def grad_update(
     _check_batch(batch)
     if not math.isfinite(eta) or eta < 0:
         raise InvalidConfig(f"learning rate must be finite and >= 0, got {eta!r}")
-    grad_w = np.zeros(model.hash_buckets, dtype=np.float64)
+    grad: dict[int, float] = {}  # only the touched indices of the dense gradient
     grad_b = 0.0
     for text, y in batch:
         resid = y - model.score(text)
         for idx, cnt in model.features(text):
-            grad_w[idx] += resid * cnt
+            grad[idx] = grad.get(idx, 0.0) + resid * cnt
         grad_b += resid
-    grad_w /= len(batch)
+    touched = np.fromiter(grad, dtype=np.intp, count=len(grad))
+    grad_w = np.fromiter(grad.values(), dtype=np.float64, count=len(grad)) / len(batch)
     grad_b /= len(batch)
     if not np.isfinite(grad_w).all():
-        bad = int(np.flatnonzero(~np.isfinite(grad_w))[0])
+        bad = int(touched[~np.isfinite(grad_w)].min())
         raise NumericalError(f"non-finite gradient at feature index {bad}")
     if not math.isfinite(grad_b):
         raise NumericalError("non-finite bias gradient")
-    return replace(model, weights=model.weights + eta * grad_w, bias=model.bias + eta * grad_b)
+    # + 0.0 rather than a copy: the untouched entries are w + eta * 0.0, which
+    # turns a -0.0 weight into 0.0 just as the dense sum did.
+    weights = model.weights + 0.0
+    weights[touched] = model.weights[touched] + eta * grad_w
+    return replace(model, weights=weights, bias=model.bias + eta * grad_b)
 
 
 @dataclass(frozen=True)
@@ -593,6 +627,12 @@ def save_model(model: NGramLogRegModel | NGramLMDetector, path: str) -> None:
         fh.write("\n")
 
 
+def _json_number(value: object, name: str, path: str) -> float:
+    if type(value) not in (int, float):  # float() would take "0.1" and true
+        raise ModelFormatError(f"model file {path!r} has a non-numeric {name}: {value!r}")
+    return float(value)
+
+
 def load_model(path: str) -> NGramLogRegModel | NGramLMDetector:
     """Load a model saved by save_model; raises ModelFormatError on anything off."""
     try:
@@ -616,15 +656,13 @@ def load_model(path: str) -> NGramLogRegModel | NGramLMDetector:
                 feature_mode=payload["feature_mode"],
                 hash_buckets=payload["hash_buckets"],
                 weights=weights,
-                bias=float(payload["bias"]),
+                bias=_json_number(payload["bias"], "bias", path),
                 hash_seed=payload["hash_seed"],
             )
         if kind == "ngram_lm":
-            n, lam = payload["n"], payload["lambda"]
-            if type(lam) not in (int, float):  # float() would take "0.1" and true
-                raise ModelFormatError(f"model file {path!r} has a non-numeric lambda: {lam!r}")
+            n, lam = payload["n"], _json_number(payload["lambda"], "lambda", path)
             machine, human = (
-                _LmTable.from_ngrams(n, float(lam), _lm_counts_from_json(payload[key], n))
+                _LmTable.from_ngrams(n, lam, _lm_counts_from_json(payload[key], n))
                 for key in ("machine_ngrams", "human_ngrams")
             )
             return NGramLMDetector(machine=machine, human=human)

@@ -390,6 +390,11 @@ def test_nonfinite_model_is_numeric_error(capsys, corpus_path, model_path, tmp_p
         ("lm", {"lambda": "0.1"}),
         ("lm", {"n": True}),
         ("lm", {"machine_ngrams": []}),
+        ("logreg", {"bias": "0.5"}),
+        ("logreg", {"bias": True}),
+        ("logreg", {"n": True}),
+        ("logreg", {"hash_buckets": True, "weights_b64": "AAAAAAAAAAA="}),
+        ("logreg", {"hash_seed": True}),
     ],
 )
 def test_malformed_model_field_is_data_error(capsys, corpus_path, model_path, tmp_path, kind, fields):

@@ -9,7 +9,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgtstack import (
@@ -32,6 +32,7 @@ from mgtstack import (
     sigmoid,
     tokenize,
 )
+from mgtstack import detectors
 
 
 def ref_hash64(data: bytes, seed: int) -> int:
@@ -113,13 +114,79 @@ def test_hashed_features_validation():
 
 @pytest.mark.parametrize(
     "n, hash_buckets, hash_seed",
-    [(1.5, 64, 0), (1, 0, 0), (1, 64, -1)],
-    ids=["fractional-n", "zero-buckets", "negative-seed"],
+    [(1.5, 64, 0), (1, 0, 0), (1, 64, -1), (True, 64, 0), (1, True, 0), (1, 64, True)],
+    ids=["fractional-n", "zero-buckets", "negative-seed", "true-n", "true-buckets", "true-seed"],
 )
 def test_hashed_features_rejects_bad_layout(n, hash_buckets, hash_seed):
     # Direct callers get the same error as a model built with these values.
     with pytest.raises(InvalidConfig):
         hashed_features("a b", "word", n, hash_buckets, hash_seed)
+
+
+def reference_hashed_features(text, feature_mode, n, hash_buckets, hash_seed):
+    # The per-n-gram loop that hashed every key with no memo, kept as the
+    # reference the memoized, C-counted version must equal.
+    units = tokenize(text) if feature_mode == "word" else text.casefold()
+    join = "\x1f".join if feature_mode == "word" else "".join
+    counts: dict[int, int] = {}
+    for order in range(1, n + 1):
+        for i in range(len(units) - order + 1):
+            idx = ref_hash64(join(units[i : i + order]).encode("utf-8"), hash_seed) % hash_buckets
+            counts[idx] = counts.get(idx, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+FEATURE_TEXT = st.text(alphabet=st.sampled_from("ab z'.İßﬁ\n"), max_size=24)
+FEATURE_LAYOUT = {
+    "feature_mode": st.sampled_from(["word", "char"]),
+    "n": st.integers(1, 3),
+    "hash_buckets": st.sampled_from([1, 2, 3, 7, 64, 2**18]),
+    "hash_seed": st.sampled_from([0, 1, 3, 2**64 - 1]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=FEATURE_TEXT, **FEATURE_LAYOUT)
+@example(text="", feature_mode="word", n=3, hash_buckets=64, hash_seed=0)
+@example(text="ab", feature_mode="word", n=3, hash_buckets=64, hash_seed=0)
+@example(text="a", feature_mode="char", n=3, hash_buckets=64, hash_seed=0)
+@example(text="İß ﬁ İß ﬁ", feature_mode="char", n=3, hash_buckets=7, hash_seed=1)
+@example(text="İß ﬁ İß ﬁ", feature_mode="word", n=2, hash_buckets=2**18, hash_seed=3)
+def test_hashed_features_match_reference_loop(text, feature_mode, n, hash_buckets, hash_seed):
+    # __wrapped__ skips the text-level cache, so every example runs the code.
+    got = hashed_features.__wrapped__(text, feature_mode, n, hash_buckets, hash_seed)
+    assert got == reference_hashed_features(text, feature_mode, n, hash_buckets, hash_seed)
+
+
+@pytest.fixture
+def fresh_bucket_memos():
+    detectors._bucket_memo.cache_clear()
+    yield
+    detectors._bucket_memo.cache_clear()  # drop the memos built under a patched cap
+
+
+def test_bucket_memo_bound_changes_nothing(monkeypatch, fresh_bucket_memos):
+    monkeypatch.setattr(detectors, "_BUCKET_MEMO_KEYS", 3)
+    texts = ["İstanbul straße ﬁne day", "a b c d e f g", "", "the ﬁne straße again and again"]
+    for mode in ("word", "char"):
+        for buckets, seed in ((7, 0), (2**18, 5)):
+            for text in texts * 2:
+                got = hashed_features.__wrapped__(text, mode, 3, buckets, seed)
+                assert got == reference_hashed_features(text, mode, 3, buckets, seed)
+                assert len(detectors._bucket_memo(buckets, seed)) <= 3
+    assert len(detectors._bucket_memo(7, 0)) == 3
+
+
+def test_hashed_features_cache_counts_hits_and_misses():
+    # perfbench/child.py reads these counters after every verb.
+    text = "a text no other test hashes: qzx vvk"
+    before = hashed_features.cache_info()
+    first = hashed_features(text, "word", 2, 64, 11)
+    mid = hashed_features.cache_info()
+    assert hashed_features(text, "word", 2, 64, 11) is first
+    after = hashed_features.cache_info()
+    assert (mid.misses, mid.hits) == (before.misses + 1, before.hits)
+    assert (after.misses, after.hits) == (mid.misses, mid.hits + 1)
 
 
 # --------------------------------------------------------------------------
@@ -152,6 +219,8 @@ def test_model_new_validation():
         NGramLogRegModel.new(feature_mode="bytes")
     with pytest.raises(InvalidConfig):
         NGramLogRegModel.new(hash_buckets=0)
+    with pytest.raises(InvalidConfig):
+        NGramLogRegModel.new(hash_buckets=True)
     with pytest.raises(InvalidConfig):
         NGramLogRegModel(n=1, feature_mode="word", hash_buckets=8, weights=np.zeros(4), bias=0.0)
 
@@ -234,6 +303,68 @@ def test_gradient_matches_finite_differences():
     untouched = np.ones(64, dtype=bool)
     untouched[touched] = False
     assert np.all(analytic_w[untouched] == 0.0)
+
+
+def reference_grad_update(model, batch, eta):
+    # The dense M-step: a full-length gradient per batch.  Kept as the
+    # reference the sparse scatter in grad_update must equal bit for bit.
+    grad_w = np.zeros(model.hash_buckets, dtype=np.float64)
+    grad_b = 0.0
+    for text, y in batch:
+        resid = y - model.score(text)
+        for idx, cnt in model.features(text):
+            grad_w[idx] += resid * cnt
+        grad_b += resid
+    grad_w /= len(batch)
+    grad_b /= len(batch)
+    if not np.isfinite(grad_w).all():
+        bad = int(np.flatnonzero(~np.isfinite(grad_w))[0])
+        raise NumericalError(f"non-finite gradient at feature index {bad}")
+    if not math.isfinite(grad_b):
+        raise NumericalError("non-finite bias gradient")
+    return model.weights + eta * grad_w, model.bias + eta * grad_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    hash_buckets=st.sampled_from([1, 2, 5, 64]),
+    n=st.integers(1, 2),
+    batch=st.lists(
+        st.tuples(st.text(alphabet=st.sampled_from("ab c"), max_size=12), st.integers(0, 1)),
+        min_size=1,
+        max_size=5,
+    ),
+    eta=st.sampled_from([0.0, 0.1, 0.5, 3.0]),
+)
+def test_sparse_grad_update_matches_dense_reference(data, hash_buckets, n, batch, eta):
+    weight = st.floats(-3.0, 3.0, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    weights = np.array(data.draw(st.lists(weight, min_size=hash_buckets, max_size=hash_buckets)))
+    bias = data.draw(st.floats(-2.0, 2.0))
+    model = NGramLogRegModel(n=n, feature_mode="word", hash_buckets=hash_buckets, weights=weights, bias=bias)
+    ref_w, ref_b = reference_grad_update(model, batch, eta)
+    out = grad_update(model, batch, eta)
+    assert out.weights.tobytes() == ref_w.tobytes()
+    assert out.bias == ref_b
+    assert model.weights.tobytes() == weights.tobytes()  # input untouched
+
+
+@pytest.mark.parametrize("bad_score", [-1e308, float("nan")], ids=["overflow", "nan"])
+def test_sparse_grad_update_names_the_dense_bad_index(monkeypatch, bad_score):
+    # zz -> 31 and qq -> 2 at 64 buckets.  A score of -1e308 makes zz's
+    # residual times its count of 2 overflow while qq stays finite; NaN
+    # poisons both, so the lowest touched index is named.
+    scores = {"zz qq zz": bad_score, "qq vv": 0.25}
+    monkeypatch.setattr(NGramLogRegModel, "score", lambda self, text: scores[text])
+    model = NGramLogRegModel.new(hash_buckets=64)
+    batch = [("qq vv", 0), ("zz qq zz", 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as dense:
+            reference_grad_update(model, batch, 0.1)
+    with pytest.raises(NumericalError) as sparse:
+        grad_update(model, batch, 0.1)
+    assert str(sparse.value) == str(dense.value)
+    assert "feature index" in str(sparse.value)
 
 
 def test_batch_validation():
@@ -433,6 +564,12 @@ MALFORMED_LOGREG_FIELDS = {
     "seed-fractional": {"hash_seed": 1.5},
     "seed-too-large": {"hash_seed": 2**64},
     "mode-unknown": {"feature_mode": "xyz"},
+    "bias-string": {"bias": "0.5"},
+    "bias-true": {"bias": True},
+    "n-true": {"n": True},
+    # one weight, so only the boolean stands between this file and a load
+    "buckets-true": {"hash_buckets": True, "weights_b64": "AAAAAAAAAAA="},
+    "seed-true": {"hash_seed": True},
 }
 MALFORMED_LM_FIELDS = {
     "lambda-zero": {"lambda": 0},
