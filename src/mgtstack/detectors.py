@@ -319,44 +319,27 @@ class TrainConfig:
 # n-gram language-model likelihood-ratio detector
 
 
-@dataclass(frozen=True)
-class _LmTable:
-    """Add-lambda smoothed n-gram model: P(w|ctx) = (c(ctx,w)+lam)/(c(ctx)+lam*V)."""
+class _TermTable(dict):
+    """log P(gram[-1] | gram[:-1]) under one class's add-lambda smoothed counts,
+    P(w|ctx) = (c(ctx,w)+lam)/(c(ctx)+lam*V) with V the distinct observed
+    tokens + 1 slot for unseen, stored for the class's own n-grams and
+    ``more``.  Any other n-gram has count 0, so its term depends on its context
+    alone: ``unseen`` holds it per context.  Bounded by the model, not the text."""
 
-    n: int
-    lam: float
-    ngrams: dict[tuple[str, ...], int]
-    contexts: dict[tuple[str, ...], int]
-    vocab_size: int  # distinct observed tokens + 1 slot for unseen
-
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise InvalidConfig(f"n-gram order must be a positive integer, got {self.n!r}")
-        if isinstance(self.lam, bool) or not (self.lam > 0 and math.isfinite(self.lam)):
-            raise InvalidConfig(f"lambda must be finite and positive, got {self.lam!r}")
-
-    @classmethod
-    def from_ngrams(cls, n: int, lam: float, ngrams: dict[tuple[str, ...], int]) -> "_LmTable":
+    def __init__(
+        self, n: int, lam: float, ngrams: dict[tuple[str, ...], int], more: Iterable[tuple[str, ...]]
+    ) -> None:
+        self.n = n
         contexts: dict[tuple[str, ...], int] = {}
         vocab: set[str] = set()
         for gram, c in ngrams.items():
             contexts[gram[:-1]] = contexts.get(gram[:-1], 0) + c
             vocab.add(gram[-1])
-        return cls(n=n, lam=lam, ngrams=ngrams, contexts=contexts, vocab_size=len(vocab) + 1)
-
-
-class _TermTable(dict):
-    """log P(gram[-1] | gram[:-1]) under one table, stored for its own n-grams and
-    ``more``.  Any other n-gram has count 0, so its term depends on its context
-    alone: ``unseen`` holds it per context.  Bounded by the model, not the text."""
-
-    def __init__(self, table: _LmTable, more: Iterable[tuple[str, ...]]) -> None:
-        self.n = table.n
-        lam, lam_v, log = table.lam, table.lam * table.vocab_size, math.log
-        count, ctx_count = table.ngrams.get, table.contexts.get
-        grams = table.ngrams.keys() | {gram for gram in more if len(gram) == self.n}
+        lam_v, log = lam * (len(vocab) + 1), math.log
+        count, ctx_count = ngrams.get, contexts.get
+        grams = ngrams.keys() | more
         super().__init__({g: log(count(g, 0) + lam) - log(ctx_count(g[:-1], 0) + lam_v) for g in grams})
-        self.unseen = {ctx: log(0 + lam) - log(c + lam_v) for ctx, c in table.contexts.items()}
+        self.unseen = {ctx: log(0 + lam) - log(c + lam_v) for ctx, c in contexts.items()}
         self.unseen_default = log(0 + lam) - log(0 + lam_v)
 
     def terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> list[float]:
@@ -411,25 +394,30 @@ class NGramLMDetector:
     to exactly 0 or 1.  The raw sum is available via log_ratio.
     """
 
-    machine: _LmTable
-    human: _LmTable
+    n: int
+    lam: float
+    machine: dict[tuple[str, ...], int]  # n-gram counts of each class
+    human: dict[tuple[str, ...], int]
     # Each class's term table also stores the other class's n-grams, which it
     # scores too.  Derived from the counts: not in eq, repr or pickle.
     _memo: tuple[_TermTable, _TermTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        memo = _TermTable(self.machine, self.human.ngrams), _TermTable(self.human, self.machine.ngrams)
+        if type(self.n) is not int or self.n < 1:
+            raise InvalidConfig(f"n-gram order must be a positive integer, got {self.n!r}")
+        if isinstance(self.lam, bool) or not (self.lam > 0 and math.isfinite(self.lam)):
+            raise InvalidConfig(f"lambda must be finite and positive, got {self.lam!r}")
+        memo = (
+            _TermTable(self.n, self.lam, self.machine, self.human),
+            _TermTable(self.n, self.lam, self.human, self.machine),
+        )
         object.__setattr__(self, "_memo", memo)
 
     def __reduce__(self) -> tuple:
-        return type(self), (self.machine, self.human)
+        return type(self), (self.n, self.lam, self.machine, self.human)
 
     def _terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> tuple[list[float], list[float]]:
         return self._memo[0].terms(tokens, context), self._memo[1].terms(tokens, context)
-
-    @property
-    def n(self) -> int:
-        return self.machine.n
 
     @classmethod
     def fit(cls, docs: Sequence[Document], n: int = 1, lam: float = 0.1) -> "NGramLMDetector":
@@ -439,14 +427,11 @@ class NGramLMDetector:
         machine_docs = [d for d in docs if d.label == 1]
         if not human_docs or not machine_docs:
             raise DegenerateDataset("LM fitting needs labeled documents of both classes")
-        return cls(
-            machine=_LmTable.from_ngrams(n, lam, _count_ngrams(machine_docs, n)),
-            human=_LmTable.from_ngrams(n, lam, _count_ngrams(human_docs, n)),
-        )
+        return cls(n, lam, machine=_count_ngrams(machine_docs, n), human=_count_ngrams(human_docs, n))
 
     def swapped(self) -> "NGramLMDetector":
         """The same detector with the class roles exchanged."""
-        return NGramLMDetector(machine=self.human, human=self.machine)
+        return replace(self, machine=self.human, human=self.machine)
 
     def log_ratio(self, text: str) -> float:
         """Unnormalized log M(text) - log H(text)."""
@@ -479,7 +464,7 @@ class NGramLMDetector:
         """
         groups: list[tuple[list[str], list[float], list[float]]] = []
         mask = compute_mask([self.score(t, terms=groups) for t in group_texts], cfg)
-        reach = max(self.machine.n, self.human.n) - 1  # tokens whose context can cross a join
+        reach = self.n - 1  # tokens whose context can cross a join
         kept: list[str] = []
         kept_machine: list[float] = []
         kept_human: list[float] = []
@@ -609,16 +594,14 @@ def save_model(model: NGramLogRegModel | NGramLMDetector, path: str) -> None:
             ).decode("ascii"),
         }
     elif isinstance(model, NGramLMDetector):
-        if model.machine.n != model.human.n or model.machine.lam != model.human.lam:
-            raise InvalidConfig("LM tables must share order and smoothing to be saved")
         payload = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "kind": "ngram_lm",
-            "n": model.machine.n,
-            "lambda": model.machine.lam,
-            "machine_ngrams": _lm_counts_to_json(model.machine.ngrams),
-            "human_ngrams": _lm_counts_to_json(model.human.ngrams),
+            "n": model.n,
+            "lambda": model.lam,
+            "machine_ngrams": _lm_counts_to_json(model.machine),
+            "human_ngrams": _lm_counts_to_json(model.human),
         }
     else:
         raise InvalidConfig(f"cannot save model of type {type(model).__name__}")
@@ -660,12 +643,13 @@ def load_model(path: str) -> NGramLogRegModel | NGramLMDetector:
                 hash_seed=payload["hash_seed"],
             )
         if kind == "ngram_lm":
-            n, lam = payload["n"], _json_number(payload["lambda"], "lambda", path)
-            machine, human = (
-                _LmTable.from_ngrams(n, lam, _lm_counts_from_json(payload[key], n))
-                for key in ("machine_ngrams", "human_ngrams")
+            n = payload["n"]
+            return NGramLMDetector(
+                n,
+                _json_number(payload["lambda"], "lambda", path),
+                machine=_lm_counts_from_json(payload["machine_ngrams"], n),
+                human=_lm_counts_from_json(payload["human_ngrams"], n),
             )
-            return NGramLMDetector(machine=machine, human=human)
     except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise ModelFormatError(f"model file {path!r} is missing or corrupt fields: {exc}") from None
     raise ModelFormatError(f"unknown model kind {kind!r}")

@@ -1,8 +1,9 @@
 """Detection metrics, dataset splitting, and corpus manipulation helpers.
 
 AUROC is computed as the Mann-Whitney statistic (probability that a random
-positive outranks a random negative, ties counted half) via average ranks,
-which matches the O(N^2) pairwise definition exactly, not just in the limit.
+positive outranks a random negative, ties counted half) by counting, for each
+positive, the once-sorted negatives below and tied with it.  2U is an exact
+integer, so this matches the O(N^2) pairwise definition exactly.
 """
 
 from __future__ import annotations
@@ -39,26 +40,21 @@ def _as_arrays(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarr
     return s, y.astype(np.int64)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged; exact halves, no floating fuzz."""
-    sorter = np.argsort(values, kind="mergesort")
-    inv = np.empty_like(sorter)
-    inv[sorter] = np.arange(len(values))
-    ordered = values[sorter]
-    is_new = np.r_[True, ordered[1:] != ordered[:-1]]
-    dense = np.cumsum(is_new)[inv]
-    boundaries = np.r_[np.nonzero(is_new)[0], len(values)]
-    return 0.5 * (boundaries[dense] + boundaries[dense - 1] + 1)
+def _sorted_negatives(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The negatives' sort order, and for each positive the number of
+    negatives below it (lo) and at or below it (hi).  Positive i adds
+    lo[i] + hi[i] to 2U, the Mann-Whitney U with ties counted half."""
+    order = np.argsort(neg, kind="mergesort")
+    ordered = neg[order]
+    return order, np.searchsorted(ordered, pos, side="left"), np.searchsorted(ordered, pos, side="right")
 
 
 def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """P(score of a positive > score of a negative) + 0.5 P(tie)."""
     s, y = _as_arrays(scores, labels)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    ranks = _average_ranks(s)
-    u = float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    pos, neg = s[y == 1], s[y == 0]
+    _, lo, hi = _sorted_negatives(pos, neg)
+    return (int((lo + hi).sum()) / 2) / (pos.size * neg.size)
 
 
 def tpr_at_fpr(scores: Sequence[float], labels: Sequence[int], max_fpr: float) -> float:
@@ -103,12 +99,9 @@ def bootstrap_auroc_ci(
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise InvalidConfig("scores must be finite")
     rng = rng or np.random.default_rng(0)
-    order = np.argsort(neg, kind="mergesort")
+    order, lo, hi = _sorted_negatives(pos, neg)
     rank = np.empty(neg.size, dtype=np.int64)
     rank[order] = np.arange(neg.size)
-    ordered = neg[order]
-    lo = np.searchsorted(ordered, pos, side="left")
-    hi = np.searchsorted(ordered, pos, side="right")
     c = np.zeros(neg.size + 1, dtype=np.int64)
     pairs = pos.size * neg.size
     stats = np.empty(n_boot)

@@ -14,7 +14,6 @@ inter-sentence whitespace.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -201,7 +200,6 @@ def group_subsequences(doc: Document, k: int) -> SubsequenceSet:
     if n == 0:
         raise EmptyDocument(f"document {doc.id!r} has no sentences")
     groups = tuple((i, min(i + k, n)) for i in range(0, n, k))
-    assert len(groups) == math.ceil(n / k)
     return SubsequenceSet(doc_id=doc.id, k=k, groups=groups)
 
 

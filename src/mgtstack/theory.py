@@ -193,19 +193,6 @@ class SimConfig:
             raise InvalidConfig(f"trials must be a positive integer, got {self.trials!r}")
 
 
-@dataclass(frozen=True)
-class SampledText:
-    """One synthetic text: sentence values plus ground-truth human positions.
-
-    Categorical sentences are an int array of shape (n,); Gaussian ones a
-    float array of shape (n, dim).  ``human_positions`` marks which sentences
-    were drawn from h (all of them, for the human class).
-    """
-
-    values: np.ndarray
-    human_positions: tuple[int, ...]
-
-
 # --------------------------------------------------------------------------
 # sampling
 
@@ -278,16 +265,6 @@ def sample_texts(
             values[:, i] = rho * (running / i) + (1.0 - rho) * values[:, i]
         running = running + values[:, i]
     return values, human_mask
-
-
-def sample_text(
-    world: SentenceWorld, mix: MixSpec, text_class: str, rng: np.random.Generator
-) -> SampledText:
-    """Single-text convenience wrapper over sample_texts."""
-    values, mask = sample_texts(world, mix, text_class, rng, trials=1)
-    return SampledText(
-        values=values[0], human_positions=tuple(int(i) for i in np.flatnonzero(mask[0]))
-    )
 
 
 # --------------------------------------------------------------------------
@@ -439,45 +416,33 @@ def _removal_counts(fspec: FilterSpec, n: int, k: int | None) -> tuple[int, int]
     return r_h, r_m
 
 
-def _filter_batch(
-    values: np.ndarray, human_mask: np.ndarray, fspec: FilterSpec, machine: bool, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle filter over a batch of one class; every row holds the same
-    number of human-like sentences.  Any non-identity spec draws from rng,
-    even when it removes nothing, so whether rng advances depends on the
-    spec alone."""
-    if fspec.is_identity:
-        return values, human_mask
-    n = human_mask.shape[1]
-    r_h, r_m = _removal_counts(fspec, n, int(human_mask[0].sum()) if machine else None)
-    # Label-agnostic for human texts: the pool is every sentence, volume r_h + r_m.
-    pools = (r_h, r_m) if machine else (r_h + r_m, 0)
-    return _remove_batch(values, human_mask, *pools, rng)
-
-
 def apply_theory_filter(
-    text: SampledText,
+    values: np.ndarray,
+    human_mask: np.ndarray,
     fspec: FilterSpec,
     text_class: str,
     rng: np.random.Generator,
-) -> SampledText:
-    """Oracle filter for one text: the batch filter on a batch of one.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle filter over a batch of one class, as sample_texts returns it;
+    every row must hold the same number of human-like sentences.
 
     Machine texts lose floor(alpha_s * n) human-like and floor(alpha_h * n)
     machine sentences (uniformly within each pool); human texts lose the same
-    total count uniformly, keeping removal volume label-agnostic.
+    total count uniformly, keeping removal volume label-agnostic.  Survivors
+    keep their order.  Any non-identity spec draws from rng, even when it
+    removes nothing, so whether rng advances depends on the spec alone.
     """
     _check_class(text_class)
     if fspec.is_identity:
-        return text
-    human_mask = np.zeros((1, text.values.shape[0]), dtype=bool)
-    human_mask[0, list(text.human_positions)] = True
-    values, mask = _filter_batch(
-        text.values[None], human_mask, fspec, text_class == "machine_mixed", rng
-    )
-    return SampledText(
-        values=values[0], human_positions=tuple(int(i) for i in np.flatnonzero(mask[0]))
-    )
+        return values, human_mask
+    counts = human_mask.sum(axis=1)
+    if (counts != counts[0]).any():
+        raise InvalidConfig("every text in a batch must hold the same number of human-like sentences")
+    machine = text_class == "machine_mixed"
+    r_h, r_m = _removal_counts(fspec, human_mask.shape[1], int(counts[0]) if machine else None)
+    # Label-agnostic for human texts: the pool is every sentence, volume r_h + r_m.
+    pools = (r_h, r_m) if machine else (r_h + r_m, 0)
+    return _remove_batch(values, human_mask, *pools, rng)
 
 
 # --------------------------------------------------------------------------
@@ -498,17 +463,21 @@ def _point_params(cfg: SimConfig) -> dict:
     }
 
 
+def _point_specs(params: Mapping) -> tuple[MixSpec, FilterSpec]:
+    mix = MixSpec(n=int(params["n"]), alpha=float(params["alpha"]), rho=float(params["rho"]))
+    return mix, FilterSpec(alpha_s=float(params["alpha_s"]), alpha_h=float(params["alpha_h"]))
+
+
 def _run_point(task: tuple) -> dict:
     world, params, seed, index = task
-    mix = MixSpec(n=int(params["n"]), alpha=float(params["alpha"]), rho=float(params["rho"]))
-    fspec = FilterSpec(alpha_s=float(params["alpha_s"]), alpha_h=float(params["alpha_h"]))
+    mix, fspec = _point_specs(params)
     trials = int(params["trials"])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
     human = sample_texts(world, mix, "human", rng, trials)
     machine = sample_texts(world, mix, "machine_mixed", rng, trials)
-    machine_values, machine_mask = _filter_batch(*machine, fspec, True, rng)
-    human_values, _ = _filter_batch(*human, fspec, False, rng)
+    machine_values, machine_mask = apply_theory_filter(*machine, fspec, "machine_mixed", rng)
+    human_values, _ = apply_theory_filter(*human, fspec, "human", rng)
 
     k_eff = int(machine_mask[0].sum())
     mode = _score_mode(machine_mask.shape[1])
@@ -565,6 +534,13 @@ def run_experiment(
     for p in points:
         if int(p["trials"]) < 100:
             raise InvalidConfig("at least 100 trials per class are required for reported AUROC")
+        # Every point's filter is checked before any point runs.
+        mix, fspec = _point_specs(p)
+        try:
+            _removal_counts(fspec, mix.n, mix.n_human_like)
+        except InvalidFilterSpec as exc:
+            where = ", ".join(f"{key} = {p[key]}" for key in ("n", "alpha", "alpha_s", "alpha_h"))
+            raise InvalidFilterSpec(f"grid point {where}: {exc}") from None
     worlds = [cfg.world] * len(points)
     if "delta" in sweep:
         gaussian = cfg.world.kind == "gaussian"

@@ -24,7 +24,7 @@ from mgtstack import (
     save_model,
     synth_corpus,
 )
-from mgtstack import cli
+from mgtstack import cli, theory
 from mgtstack.cli import main
 
 
@@ -740,6 +740,28 @@ def test_simulate_rejects_small_trials(capsys, tmp_path):
     )
     assert code == 2
     assert "trials" in err
+
+
+def test_simulate_bad_filter_point_fails_before_any_point_runs(capsys, tmp_path, monkeypatch):
+    calls = []
+    run_point = theory._run_point
+    monkeypatch.setattr(theory, "_run_point", lambda task: calls.append(task) or run_point(task))
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        capsys,
+        [
+            "simulate",
+            "--delta", "0.5",
+            "--n", "5,20",
+            "--alpha", "0,0.3",
+            "--alpha-s", "0,0.1",
+            "--trials", "100",
+            "--out", str(out),
+        ],
+    )
+    assert code == 3
+    assert "grid point n = 20, alpha = 0.0, alpha_s = 0.1, alpha_h = 0.0: " in err
+    assert calls == [] and not out.exists()
 
 
 def test_simulate_gaussian_with_rho(capsys, tmp_path):

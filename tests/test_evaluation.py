@@ -219,7 +219,7 @@ def test_bootstrap_ci_rejects_bad_scores_before_drawing(bad, side):
 
 
 def reference_bootstrap_auroc_ci(pos_scores, neg_scores, n_boot, level, rng):
-    """The resample-and-rank loop: one full ``auroc`` per resample."""
+    """The resample loop, each resample scored by the pairwise definition."""
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     labels = np.r_[np.ones(pos.size, dtype=np.int64), np.zeros(neg.size, dtype=np.int64)]
@@ -227,7 +227,7 @@ def reference_bootstrap_auroc_ci(pos_scores, neg_scores, n_boot, level, rng):
     for b in range(n_boot):
         ps = pos[rng.integers(0, pos.size, pos.size)]
         ns = neg[rng.integers(0, neg.size, neg.size)]
-        stats[b] = auroc(np.r_[ps, ns], labels)
+        stats[b] = brute_force_auroc(np.r_[ps, ns].tolist(), labels)
     lo, hi = np.quantile(stats, [(1 - level) / 2, 1 - (1 - level) / 2])
     return float(lo), float(hi)
 

@@ -25,11 +25,11 @@ from mgtstack import (
     gaussian_world,
     likelihood_ratio_score,
     run_experiment,
-    sample_text,
     sample_texts,
     tv_distance,
     write_rows_csv,
 )
+from mgtstack import theory
 from mgtstack.theory import CSV_COLUMNS
 
 # Independent oracle: enumerate every way to place the human-like sentences
@@ -199,13 +199,15 @@ def test_dependent_sampling_correlates_adjacent_sentences():
     assert abs(iid_corr) < 0.08
 
 
-def test_sample_text_single_wrapper():
+def test_unknown_text_class_is_rejected():
     rng = np.random.default_rng(5)
-    text = sample_text(categorical_world(0.5), MixSpec(n=7, alpha=0.3), "machine_mixed", rng)
-    assert text.values.shape == (7,)
-    assert len(text.human_positions) == 2  # 7 - ceil(4.9) = 2
+    w, mix = categorical_world(0.5), MixSpec(n=7, alpha=0.3)
     with pytest.raises(InvalidConfig):
-        sample_text(categorical_world(0.5), MixSpec(n=7), "martian", rng)
+        sample_texts(w, mix, "martian", rng, trials=1)
+    values, mask = sample_texts(w, mix, "machine_mixed", rng, trials=3)
+    for fspec in (FilterSpec(), FilterSpec(alpha_s=0.2)):
+        with pytest.raises(InvalidConfig):
+            apply_theory_filter(values, mask, fspec, "martian", rng)
 
 
 # --------------------------------------------------------------------------
@@ -315,52 +317,76 @@ def test_filter_condition():
     assert not filter_condition_ok(0.0, FilterSpec())
 
 
+def kept_positions(values, kept_values):
+    """Per text, where each surviving sentence sat in the unfiltered text."""
+    return [
+        [int(np.flatnonzero((row == v).all(axis=-1))[0]) for v in kept_row]
+        for row, kept_row in zip(values, kept_values)
+    ]
+
+
 def test_filter_machine_counts():
     rng = np.random.default_rng(0)
-    w = categorical_world(0.5)
+    w = gaussian_world(0.5, dim=1)  # continuous values: each sentence is identifiable
     mix = MixSpec(n=10, alpha=0.4)  # 4 human-like
-    text = sample_text(w, mix, "machine_mixed", rng)
-    out = apply_theory_filter(text, FilterSpec(alpha_s=0.25, alpha_h=0.2), "machine_mixed", rng)
+    values, mask = sample_texts(w, mix, "machine_mixed", rng, trials=20)
+    out_values, out_mask = apply_theory_filter(
+        values, mask, FilterSpec(alpha_s=0.25, alpha_h=0.2), "machine_mixed", rng
+    )
     # floor(2.5) = 2 human-like and floor(2.0) = 2 machine sentences removed.
-    assert out.values.shape == (6,)
-    assert len(out.human_positions) == 2
-    # Survivors are original sentences, in order.
-    assert set(np.asarray(out.values)) <= set(np.asarray(text.values))
+    assert out_values.shape == (20, 6, 1) and out_mask.shape == (20, 6)
+    assert (out_mask.sum(axis=1) == 2).all()
+    # Survivors are original sentences, in order, with their labels.
+    for row, positions in enumerate(kept_positions(values, out_values)):
+        assert positions == sorted(set(positions))
+        assert np.array_equal(out_mask[row], mask[row, positions])
+
+
+def test_filter_rejects_a_batch_of_uneven_texts():
+    rng = np.random.default_rng(6)
+    w, mix = categorical_world(0.5), MixSpec(n=10, alpha=0.4)
+    values, mask = sample_texts(w, mix, "machine_mixed", rng, trials=2)
+    mask[1] = False  # the second text no longer holds 4 human-like sentences
+    for text_class in ("machine_mixed", "human"):
+        with pytest.raises(InvalidConfig):
+            apply_theory_filter(values, mask, FilterSpec(alpha_s=0.2), text_class, rng)
 
 
 def test_filter_human_counts():
     rng = np.random.default_rng(1)
-    w = categorical_world(0.5)
-    text = sample_text(w, MixSpec(n=10), "human", rng)
-    out = apply_theory_filter(text, FilterSpec(alpha_s=0.25, alpha_h=0.2), "human", rng)
+    values, mask = sample_texts(categorical_world(0.5), MixSpec(n=10), "human", rng, trials=20)
+    out_values, out_mask = apply_theory_filter(
+        values, mask, FilterSpec(alpha_s=0.25, alpha_h=0.2), "human", rng
+    )
     # Human texts lose the same total volume: 2 + 2 of 10.
-    assert out.values.shape == (6,)
-    assert len(out.human_positions) == 6
+    assert out_values.shape == (20, 6) and out_mask.shape == (20, 6)
+    assert out_mask.all()
 
 
-def test_filter_identity_returns_same_text():
+def test_filter_identity_returns_same_batch():
     rng = np.random.default_rng(2)
-    text = sample_text(categorical_world(0.5), MixSpec(n=5), "human", rng)
-    assert apply_theory_filter(text, FilterSpec(), "human", rng) is text
+    values, mask = sample_texts(categorical_world(0.5), MixSpec(n=5), "human", rng, trials=4)
+    out_values, out_mask = apply_theory_filter(values, mask, FilterSpec(), "human", rng)
+    assert out_values is values and out_mask is mask
 
 
 def test_filter_zero_removal_spec_draws_like_the_grid():
     # floor(0.05 * 10) = 0: nothing is removed, but a non-identity spec
-    # advances rng by the one (1, n) uniform draw the grid point makes.
+    # advances rng by the one (trials, n) uniform draw the grid point makes.
     rng = np.random.default_rng(4)
     w = categorical_world(0.5)
     for text_class, alpha in (("machine_mixed", 0.3), ("human", 0.0)):
-        text = sample_text(w, MixSpec(n=10, alpha=alpha), text_class, rng)
+        values, mask = sample_texts(w, MixSpec(n=10, alpha=alpha), text_class, rng, trials=3)
         before = rng.bit_generator.state
-        out = apply_theory_filter(text, FilterSpec(alpha_s=0.05), text_class, rng)
-        assert np.array_equal(out.values, text.values)
-        assert out.human_positions == text.human_positions
+        out_values, out_mask = apply_theory_filter(values, mask, FilterSpec(alpha_s=0.05), text_class, rng)
+        assert np.array_equal(out_values, values) and np.array_equal(out_mask, mask)
         twin = np.random.default_rng()
         twin.bit_generator.state = before
-        twin.random((1, 10))
+        twin.random((3, 10))
         assert rng.bit_generator.state == twin.bit_generator.state
         before = rng.bit_generator.state
-        assert apply_theory_filter(text, FilterSpec(), text_class, rng) is text
+        out_values, out_mask = apply_theory_filter(values, mask, FilterSpec(), text_class, rng)
+        assert out_values is values and out_mask is mask
         assert rng.bit_generator.state == before
 
 
@@ -368,13 +394,13 @@ def test_filter_overdraw_raises():
     rng = np.random.default_rng(3)
     w = categorical_world(0.5)
     # alpha = 0: no human-like sentences exist, but alpha_s asks to drop 2.
-    text = sample_text(w, MixSpec(n=10, alpha=0.0), "machine_mixed", rng)
+    batch = sample_texts(w, MixSpec(n=10, alpha=0.0), "machine_mixed", rng, trials=2)
     with pytest.raises(InvalidFilterSpec):
-        apply_theory_filter(text, FilterSpec(alpha_s=0.2), "machine_mixed", rng)
+        apply_theory_filter(*batch, FilterSpec(alpha_s=0.2), "machine_mixed", rng)
     # alpha = 0.6 on n = 10 leaves 4 machine sentences; alpha_h = 0.5 wants 5.
-    text = sample_text(w, MixSpec(n=10, alpha=0.6), "machine_mixed", rng)
+    batch = sample_texts(w, MixSpec(n=10, alpha=0.6), "machine_mixed", rng, trials=2)
     with pytest.raises(InvalidFilterSpec):
-        apply_theory_filter(text, FilterSpec(alpha_h=0.5), "machine_mixed", rng)
+        apply_theory_filter(*batch, FilterSpec(alpha_h=0.5), "machine_mixed", rng)
 
 
 # --------------------------------------------------------------------------
@@ -476,7 +502,7 @@ def test_run_experiment_validation():
         run_experiment(ok, sweep={"banana": [1]})
 
 
-def test_run_experiment_filter_overdraw_is_invalid():
+def test_run_experiment_filter_overdraw_is_invalid(monkeypatch):
     cfg = SimConfig(
         world=categorical_world(0.5),
         mix=MixSpec(n=10, alpha=0.0),
@@ -486,6 +512,18 @@ def test_run_experiment_filter_overdraw_is_invalid():
     )
     with pytest.raises(InvalidFilterSpec):
         run_experiment(cfg)
+    # Every point is checked before any runs: n = 5 removes floor(0.5) = 0
+    # sentences and would run, but n = 20 asks for 2 of none.
+    calls = []
+    run_point = theory._run_point
+    monkeypatch.setattr(theory, "_run_point", lambda task: calls.append(task) or run_point(task))
+    cfg = SimConfig(world=categorical_world(0.5), mix=MixSpec(n=5), trials=100, seed=0)
+    point = r"grid point n = 20, alpha = 0.0, alpha_s = 0.1, alpha_h = 0.0: alpha_s = 0.1 removes 2"
+    with pytest.raises(InvalidFilterSpec, match=point):
+        run_experiment(cfg, sweep={"n": [5, 20], "alpha_s": [0.0, 0.1]})
+    assert calls == []
+    run_experiment(cfg, sweep={"n": [5], "alpha_s": [0.0, 0.1]})
+    assert len(calls) == 2
 
 
 # --------------------------------------------------------------------------
