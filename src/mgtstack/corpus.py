@@ -27,10 +27,10 @@ def _document_from_record(record: dict, lineno: int, abbreviations: frozenset[st
         raise CorpusFormatError(f"line {lineno}: missing field {exc.args[0]!r}") from None
     if not isinstance(doc_id, str) or not isinstance(text, str):
         raise CorpusFormatError(f"line {lineno}: 'id' and 'text' must be strings")
-    label = record.get("label")
-    if label not in (None, 0, 1):
-        raise CorpusFormatError(f"line {lineno}: label must be 0 or 1, got {label!r}")
-    return Document.from_text(doc_id, text, label, abbreviations)
+    try:
+        return Document.from_text(doc_id, text, record.get("label"), abbreviations)
+    except InvalidConfig as exc:
+        raise CorpusFormatError(f"line {lineno}: {exc}") from None
 
 
 def load_corpus(path: str, abbreviations: frozenset[str] | None = None) -> list[Document]:

@@ -36,6 +36,8 @@ from .errors import (
     InvalidConfig,
     ModelFormatError,
     NumericalError,
+    _check_int,
+    _real,
 )
 from .retention import FilterConfig, RetentionMask, compute_mask
 from .segmentation import Document
@@ -105,13 +107,9 @@ def _check_hashing(feature_mode: str, n: int, hash_buckets: int, hash_seed: int)
     """The rules for a hashed n-gram feature layout."""
     if feature_mode not in ("word", "char"):
         raise InvalidConfig(f"feature_mode must be 'word' or 'char', got {feature_mode!r}")
-    # type() rather than isinstance(): True is an int, and would pass as 1
-    if type(n) is not int or n < 1:
-        raise InvalidConfig(f"n-gram order must be a positive integer, got {n!r}")
-    if type(hash_buckets) is not int or hash_buckets < 1:
-        raise InvalidConfig(f"hash_buckets must be a positive integer, got {hash_buckets!r}")
-    if type(hash_seed) is not int or not 0 <= hash_seed < 2**64:
-        raise InvalidConfig(f"hash_seed must be an integer in [0, 2**64), got {hash_seed!r}")
+    _check_int(n, "n-gram order")
+    _check_int(hash_buckets, "hash_buckets")
+    _check_int(hash_seed, "hash_seed", 0, 2**64)
 
 
 # Keys one layout's bucket memo stores; past this, new keys are hashed on
@@ -187,10 +185,10 @@ class NGramLogRegModel:
 
     def __post_init__(self) -> None:
         _check_hashing(self.feature_mode, self.n, self.hash_buckets, self.hash_seed)
-        if self.weights.shape != (self.hash_buckets,):
-            raise InvalidConfig(
-                f"weights length {self.weights.shape} != hash_buckets {self.hash_buckets}"
-            )
+        w = self.weights
+        if not isinstance(w, np.ndarray) or w.dtype != np.float64 or w.shape != (self.hash_buckets,):
+            raise InvalidConfig(f"weights must be a float64 array of shape ({self.hash_buckets},)")
+        object.__setattr__(self, "bias", _real(self.bias, "bias"))
 
     @classmethod
     def new(
@@ -303,12 +301,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise InvalidConfig(f"epochs must be a non-negative integer, got {self.epochs!r}")
-        if not math.isfinite(self.lr) or self.lr <= 0:
+        _check_int(self.epochs, "epochs", 0)
+        if not 0 < _real(self.lr, "lr") < math.inf:
             raise InvalidConfig(f"lr must be finite and positive, got {self.lr!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise InvalidConfig(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        _check_int(self.batch_size, "batch_size")
         self.filter_config()  # validates r_e, tau, k
 
     def filter_config(self) -> FilterConfig:
@@ -403,10 +399,17 @@ class NGramLMDetector:
     _memo: tuple[_TermTable, _TermTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise InvalidConfig(f"n-gram order must be a positive integer, got {self.n!r}")
-        if isinstance(self.lam, bool) or not (self.lam > 0 and math.isfinite(self.lam)):
-            raise InvalidConfig(f"lambda must be finite and positive, got {self.lam!r}")
+        _check_int(self.n, "n-gram order")
+        lam = _real(self.lam, "lambda")
+        if not 0 < lam < math.inf:
+            raise InvalidConfig(f"lambda must be finite and positive, got {lam!r}")
+        object.__setattr__(self, "lam", lam)
+        for counts in (self.machine, self.human):
+            if not isinstance(counts, dict) or not all(
+                type(c) is int and c >= 0 and type(g) is tuple and len(g) == self.n and all(type(t) is str for t in g)
+                for g, c in counts.items()
+            ):
+                raise InvalidConfig(f"n-gram counts must map {self.n}-tuples of str to ints >= 0")
         memo = (
             _TermTable(self.n, self.lam, self.machine, self.human),
             _TermTable(self.n, self.lam, self.human, self.machine),
@@ -421,8 +424,7 @@ class NGramLMDetector:
 
     @classmethod
     def fit(cls, docs: Sequence[Document], n: int = 1, lam: float = 0.1) -> "NGramLMDetector":
-        if not isinstance(n, int) or n < 1:
-            raise InvalidConfig(f"n-gram order must be a positive integer, got {n!r}")
+        _check_int(n, "n-gram order")  # before counting with it
         human_docs = [d for d in docs if d.label == 0]
         machine_docs = [d for d in docs if d.label == 1]
         if not human_docs or not machine_docs:
@@ -502,7 +504,7 @@ class ExternalDetector:
     def __post_init__(self) -> None:
         if not self.command:
             raise InvalidConfig("adapter command must be non-empty")
-        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout > 0):
+        if self.timeout is not None and not 0 < _real(self.timeout, "adapter timeout") < math.inf:
             raise InvalidConfig(f"adapter timeout must be finite and positive, got {self.timeout!r}")
 
     def score(self, text: str) -> float:
@@ -560,16 +562,8 @@ def _lm_counts_to_json(ngrams: dict[tuple[str, ...], int]) -> dict[str, int]:
     return {_NGRAM_SEP.join(gram): c for gram, c in sorted(ngrams.items())}
 
 
-def _lm_counts_from_json(raw: dict[str, int], n: int) -> dict[tuple[str, ...], int]:
-    if not isinstance(raw, dict):
-        raise ModelFormatError("n-gram counts must be a JSON object")
-    counts: dict[tuple[str, ...], int] = {}
-    for key, c in raw.items():
-        gram = tuple(key.split(_NGRAM_SEP))
-        if len(gram) != n or type(c) is not int or c < 0:
-            raise ModelFormatError(f"corrupt n-gram entry {key!r}")
-        counts[gram] = c
-    return counts
+def _lm_counts_from_json(raw: dict[str, int]) -> dict[tuple[str, ...], int]:
+    return {tuple(key.split(_NGRAM_SEP)): c for key, c in raw.items()}
 
 
 def save_model(model: NGramLogRegModel | NGramLMDetector, path: str) -> None:
@@ -610,14 +604,12 @@ def save_model(model: NGramLogRegModel | NGramLMDetector, path: str) -> None:
         fh.write("\n")
 
 
-def _json_number(value: object, name: str, path: str) -> float:
-    if type(value) not in (int, float):  # float() would take "0.1" and true
-        raise ModelFormatError(f"model file {path!r} has a non-numeric {name}: {value!r}")
-    return float(value)
-
-
 def load_model(path: str) -> NGramLogRegModel | NGramLMDetector:
-    """Load a model saved by save_model; raises ModelFormatError on anything off."""
+    """Load a model saved by save_model; raises ModelFormatError on anything off.
+
+    The model's constructor checks every field: this only turns JSON into its
+    arguments and reports whatever fails, in translation or in the
+    constructor, as ModelFormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -632,24 +624,24 @@ def load_model(path: str) -> NGramLogRegModel | NGramLMDetector:
     kind = payload.get("kind")
     try:
         if kind == "ngram_logreg":
-            raw = base64.b64decode(payload["weights_b64"].encode("ascii"), validate=True)
-            weights = np.frombuffer(raw, dtype=payload["weights_dtype"]).astype(np.float64)
+            if payload["weights_dtype"] != "<f8":  # the only layout save_model writes
+                raise ModelFormatError(f"model file {path!r} has weights_dtype {payload['weights_dtype']!r}")
+            raw = base64.b64decode(payload["weights_b64"], validate=True)
             return NGramLogRegModel(
                 n=payload["n"],
                 feature_mode=payload["feature_mode"],
                 hash_buckets=payload["hash_buckets"],
-                weights=weights,
-                bias=_json_number(payload["bias"], "bias", path),
+                weights=np.frombuffer(raw, dtype="<f8").astype(np.float64),
+                bias=payload["bias"],
                 hash_seed=payload["hash_seed"],
             )
         if kind == "ngram_lm":
-            n = payload["n"]
             return NGramLMDetector(
-                n,
-                _json_number(payload["lambda"], "lambda", path),
-                machine=_lm_counts_from_json(payload["machine_ngrams"], n),
-                human=_lm_counts_from_json(payload["human_ngrams"], n),
+                payload["n"],
+                payload["lambda"],
+                machine=_lm_counts_from_json(payload["machine_ngrams"]),
+                human=_lm_counts_from_json(payload["human_ngrams"]),
             )
-    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, InvalidConfig) as exc:
         raise ModelFormatError(f"model file {path!r} is missing or corrupt fields: {exc}") from None
     raise ModelFormatError(f"unknown model kind {kind!r}")

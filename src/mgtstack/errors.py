@@ -2,10 +2,12 @@
 
 Every error raised by library code derives from :class:`MgtStackError` so
 callers (notably the CLI) can map failures onto exit codes without chasing
-individual modules.
+individual modules.  The two field rules many constructors share live here.
 """
 
 from __future__ import annotations
+
+from numbers import Real
 
 
 class MgtStackError(Exception):
@@ -46,3 +48,21 @@ class UnsupportedCombination(MgtStackError):
 
 class InvalidFilterSpec(MgtStackError):
     """A filter proportion requests more removals than a text can supply."""
+
+
+def _check_int(value: object, name: str, low: int = 1, high: float = float("inf")) -> None:
+    """An integer in [low, high).  type() rather than isinstance(): True is
+    an int, and would pass as 1."""
+    if type(value) is not int or not low <= value < high:
+        raise InvalidConfig(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+
+
+def _real(value: object, name: str) -> float:
+    """``value`` as a float, if it is a real number that has one; a bool or a
+    numeric string is not a number here."""
+    if not isinstance(value, bool) and isinstance(value, Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidConfig(f"{name} must be a real number, got {value!r}")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataset, InvalidConfig
+from .errors import DegenerateDataset, InvalidConfig, _check_int
 from .segmentation import Document
 
 _WS_RUN = re.compile(r"\s+")
@@ -88,8 +88,7 @@ def bootstrap_auroc_ci(
     i beats ``c[lo[i]]`` of them and ties ``c[hi[i]] - c[lo[i]]``.  2U is an
     exact integer, so the statistic is the float ``auroc`` gives the resample.
     """
-    if n_boot < 1:
-        raise InvalidConfig("n_boot must be positive")
+    _check_int(n_boot, "n_boot")
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     if pos.ndim != 1 or neg.ndim != 1:
@@ -200,8 +199,7 @@ def inject_human_sentences(
     Returns a re-split document with the same id and label; count = 0 is the
     identity.
     """
-    if not isinstance(count, int) or count < 0:
-        raise InvalidConfig(f"count must be a non-negative integer, got {count!r}")
+    _check_int(count, "count", 0)
     if count == 0:
         return machine_doc
     if not human_pool:
@@ -255,7 +253,6 @@ DEFAULT_FPR_CAPS = (0.005, 0.05)
 def evaluate_scores(
     scores: Sequence[float],
     labels: Sequence[int],
-    fpr_caps: Sequence[float] = DEFAULT_FPR_CAPS,
     detector_id: str = "",
     corpus_id: str = "",
     seed: int | None = None,
@@ -263,7 +260,7 @@ def evaluate_scores(
     s, y = _as_arrays(scores, labels)
     return EvalReport(
         auroc=auroc(s, y),
-        tpr_at_fpr={float(k): tpr_at_fpr(s, y, k) for k in fpr_caps},
+        tpr_at_fpr={float(k): tpr_at_fpr(s, y, k) for k in DEFAULT_FPR_CAPS},
         n_pos=int(y.sum()),
         n_neg=int(len(y) - y.sum()),
         detector_id=detector_id,

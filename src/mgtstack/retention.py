@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, _check_int, _real
 
 
 def snap_floor(x: float) -> int:
@@ -40,12 +40,11 @@ class FilterConfig:
     k: int = 3
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.r_e < 0.5):
+        if not (0.0 <= _real(self.r_e, "r_e") < 0.5):
             raise InvalidConfig(f"r_e must be in [0, 0.5), got {self.r_e!r}")
-        if not (0.0 <= self.tau < 1.0):
+        if not (0.0 <= _real(self.tau, "tau") < 1.0):
             raise InvalidConfig(f"tau must be in [0, 1), got {self.tau!r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise InvalidConfig(f"k must be a positive integer, got {self.k!r}")
+        _check_int(self.k, "k")
 
     def budget(self, n_groups: int) -> int:
         """Maximum number of groups the constrained rule may drop:
@@ -126,8 +125,7 @@ def naive_mask(scores: Sequence[float]) -> RetentionMask:
 def random_mask(n_groups: int, drop_ratio: float, seed: int) -> RetentionMask:
     """Drop exactly snap_floor(drop_ratio * n_groups) groups chosen uniformly,
     so a ratio matches the constrained rule's budget for the same tau."""
-    if n_groups < 1:
-        raise InvalidConfig("n_groups must be positive")
+    _check_int(n_groups, "n_groups")
     if not (0.0 <= drop_ratio < 1.0):
         raise InvalidConfig(f"drop_ratio must be in [0, 1), got {drop_ratio!r}")
     rng = random.Random(seed)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple, Sequence
 
-from .errors import EmptyDocument, EmptyRetention, InvalidConfig
+from .errors import EmptyDocument, EmptyRetention, InvalidConfig, _check_int
 
 _TERMINATORS = frozenset(".!?…")
 _OPENERS = {"(": ")", "[": "]", "{": "}"}
@@ -147,7 +147,7 @@ class Document:
     sentences: tuple[Span, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.label not in (None, 0, 1):
+        if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
             raise InvalidConfig(f"label must be 0, 1 or None, got {self.label!r}")
         cursor = 0
         for i, (start, end) in enumerate(self.sentences):
@@ -194,8 +194,7 @@ class SubsequenceSet:
 
 def group_subsequences(doc: Document, k: int) -> SubsequenceSet:
     """Greedy left-to-right grouping into ceil(n_sentences / k) groups."""
-    if not isinstance(k, int) or k < 1:
-        raise InvalidConfig(f"group size k must be a positive integer, got {k!r}")
+    _check_int(k, "group size k")
     n = doc.n_sentences
     if n == 0:
         raise EmptyDocument(f"document {doc.id!r} has no sentences")

@@ -146,7 +146,9 @@ class TrainTrace:
 LabeledDoc = tuple[Document, int]
 
 
-def _check_training_data(data: Sequence[LabeledDoc]) -> None:
+def _check_training_data(base: NGramLogRegModel, data: Sequence[LabeledDoc]) -> None:
+    if not isinstance(base, NGramLogRegModel):
+        raise InvalidConfig(f"training needs an n-gram logistic model, got {type(base).__name__}")
     if not data:
         raise DegenerateDataset("training data is empty")
     labels = {y for _, y in data}
@@ -174,9 +176,7 @@ def train_hard_em(
     of the retained texts (M-step, masks constant).  Returns the final model
     and a per-epoch trace of the objective and realized filtering rate.
     """
-    if not isinstance(base, NGramLogRegModel):
-        raise InvalidConfig("hard-EM training requires a trainable n-gram logistic model")
-    _check_training_data(data)
+    _check_training_data(base, data)
     cfg = tc.filter_config()
     rng = random.Random(tc.seed)
     model = base
@@ -214,9 +214,7 @@ def train_plain(
     Kept as an explicit function so the tau = 0 equivalence can be checked
     end to end (same seed, bitwise-identical parameter trajectory).
     """
-    if not isinstance(base, NGramLogRegModel):
-        raise InvalidConfig("training requires a trainable n-gram logistic model")
-    _check_training_data(data)
+    _check_training_data(base, data)
     rng = random.Random(tc.seed)
     model = base
     records: list[EpochRecord] = []

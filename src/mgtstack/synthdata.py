@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, _check_int
 from .segmentation import Document
 
 _ONSETS_HUMAN = ("b", "d", "g", "l", "f")
@@ -62,8 +62,7 @@ class SynthSpec:
     weak_prob: float = 0.35
 
     def __post_init__(self) -> None:
-        if self.n_docs < 2:
-            raise InvalidConfig("n_docs must be at least 2")
+        _check_int(self.n_docs, "n_docs", 2)
         if not (0.0 < self.balance < 1.0):
             raise InvalidConfig("balance must be strictly between 0 and 1")
         lo, hi = self.sentences_per_doc
@@ -137,8 +136,7 @@ def human_sentence_pool(spec: SynthSpec, count: int, seed: int) -> list[str]:
     Used as the replacement pool when planting human sentences inside machine
     documents.
     """
-    if count < 1:
-        raise InvalidConfig("pool size must be positive")
+    _check_int(count, "pool size")
     rng = random.Random(seed)
     vocab = _build_vocab(spec)
     return [

@@ -31,7 +31,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidFilterSpec, UnsupportedCombination
+from .errors import InvalidConfig, InvalidFilterSpec, UnsupportedCombination, _check_int, _real
 from .evaluation import auroc, bootstrap_auroc_ci
 from .retention import snap_floor
 
@@ -120,8 +120,7 @@ def gaussian_world(delta: float, dim: int = 2) -> SentenceWorld:
     gap sits on the first axis."""
     if not (0.0 <= delta < 1.0):
         raise InvalidConfig(f"delta must be in [0, 1) for gaussian worlds, got {delta!r}")
-    if dim < 1:
-        raise InvalidConfig(f"dim must be >= 1, got {dim!r}")
+    _check_int(dim, "dim")
     gap = 2.0 * _NORMAL.inv_cdf((1.0 + delta) / 2.0)
     mu_m = (gap,) + (0.0,) * (dim - 1)
     return SentenceWorld.gaussian(mu_h=(0.0,) * dim, mu_m=mu_m)
@@ -141,11 +140,10 @@ class MixSpec:
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidConfig(f"n must be a positive integer, got {self.n!r}")
-        if not (0.0 <= self.alpha < 1.0):
+        _check_int(self.n, "n")
+        if not (0.0 <= _real(self.alpha, "alpha") < 1.0):
             raise InvalidConfig(f"alpha must be in [0, 1), got {self.alpha!r}")
-        if not (0.0 <= self.rho < 1.0):
+        if not (0.0 <= _real(self.rho, "rho") < 1.0):
             raise InvalidConfig(f"rho must be in [0, 1), got {self.rho!r}")
 
     @property
@@ -164,7 +162,7 @@ class FilterSpec:
     alpha_h: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha_s < 1.0) or not (0.0 <= self.alpha_h < 1.0):
+        if not all(0.0 <= _real(v, "filter share") < 1.0 for v in (self.alpha_s, self.alpha_h)):
             raise InvalidConfig("filter shares must lie in [0, 1)")
         if self.alpha_s + self.alpha_h >= 1.0:
             raise InvalidConfig("alpha_s + alpha_h must be below 1")
@@ -189,8 +187,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise InvalidConfig(f"trials must be a positive integer, got {self.trials!r}")
+        _check_int(self.trials, "trials")
 
 
 # --------------------------------------------------------------------------
@@ -237,8 +234,7 @@ def sample_texts(
     rho * mean(previous sentences) + (1 - rho) * fresh draw.
     """
     _check_class(text_class)
-    if trials < 1:
-        raise InvalidConfig("trials must be positive")
+    _check_int(trials, "trials")
     n = mix.n
     if text_class == "human":
         human_mask = np.ones((trials, n), dtype=bool)

@@ -7,19 +7,27 @@ corpus and one trained model are shared module-wide to keep the suite quick.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgtstack import (
+    ModelFormatError,
     NGramLMDetector,
     NGramLogRegModel,
     SynthSpec,
     TrainTrace,
     load_corpus,
+    load_model,
     save_corpus,
     save_model,
     synth_corpus,
@@ -347,6 +355,14 @@ def test_corrupt_corpus_is_data_error(capsys, model_path, tmp_path):
     assert "corpus error" in err and "line 2" in err
 
 
+def test_non_int_label_is_data_error_naming_the_line(capsys, model_path, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "text": "Ok."}\n{"id": "b", "text": "Ok.", "label": true}\n', encoding="utf-8")
+    code, _, err = run(capsys, ["detect", "--corpus", str(path), "--model", model_path])
+    assert code == 3
+    assert "corpus error" in err and "line 2" in err and "label" in err
+
+
 def test_missing_model_file(capsys, corpus_path, tmp_path):
     code, _, err = run(
         capsys,
@@ -395,6 +411,12 @@ def test_nonfinite_model_is_numeric_error(capsys, corpus_path, model_path, tmp_p
         ("logreg", {"n": True}),
         ("logreg", {"hash_buckets": True, "weights_b64": "AAAAAAAAAAA="}),
         ("logreg", {"hash_seed": True}),
+        ("logreg", {"weights_dtype": "<i8"}),
+        ("logreg", {"weights_dtype": ">f8"}),
+        ("lm", {"lambda": float("inf")}),
+        ("lm", {"machine_ngrams": {"aa\x1fbb": 2}}),
+        ("lm", {"human_ngrams": {"aa": -3}}),
+        ("lm", {"human_ngrams": {"aa": 3.5}}),
     ],
 )
 def test_malformed_model_field_is_data_error(capsys, corpus_path, model_path, tmp_path, kind, fields):
@@ -410,6 +432,80 @@ def test_malformed_model_field_is_data_error(capsys, corpus_path, model_path, tm
     assert code == 3
     assert "data error" in err
     assert "Traceback" not in err
+
+
+_NOT_INT = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(), st.lists(st.integers(), max_size=2))
+_NOT_NUMBER = st.one_of(
+    st.booleans(), st.text(max_size=3), st.none(), st.lists(st.floats(0, 1), max_size=2), st.just(10**400)
+)
+_NOT_STR = st.one_of(st.integers(), st.floats(), st.none(), st.lists(st.integers(), max_size=2))
+# Single-field corruptions that no model can be built from, one strategy per
+# field.  A count strategy draws (how, value) and is applied to one entry.
+_LOGREG_CORRUPTIONS = {
+    "n": st.one_of(_NOT_INT, st.integers(max_value=0)),
+    "hash_buckets": st.one_of(_NOT_INT, st.integers(max_value=0), st.integers(4097, 2**70)),
+    "hash_seed": st.one_of(_NOT_INT, st.integers(max_value=-1), st.integers(min_value=2**64)),
+    "feature_mode": st.one_of(_NOT_STR, st.text(max_size=5).filter(lambda m: m not in ("word", "char"))),
+    "bias": _NOT_NUMBER,  # a non-finite bias loads and fails at scoring: exit 4
+    "weights_dtype": st.one_of(_NOT_NUMBER, st.sampled_from(["<i8", ">f8", "<f4", "float64"])),
+    "weights_b64": st.one_of(_NOT_STR, st.sampled_from(["AAAA", "not base64!", "é"])),
+}
+_LM_COUNTS = st.one_of(
+    st.tuples(st.just("value"), st.one_of(_NOT_STR, st.text(max_size=3))),
+    st.tuples(st.just("count"), st.one_of(st.integers(max_value=-1), st.floats(), st.booleans(), st.none())),
+    st.tuples(st.just("key"), st.sampled_from(["\x1fzz", "\x1fzz\x1fzz\x1fzz"])),
+)
+_LM_CORRUPTIONS = {
+    "n": st.one_of(_NOT_INT, st.integers(max_value=0), st.integers(min_value=4)),
+    "lambda": st.one_of(
+        _NOT_NUMBER, st.sampled_from([math.inf, -math.inf, math.nan]), st.floats(max_value=0), st.integers(max_value=0)
+    ),
+    "machine_ngrams": _LM_COUNTS,
+    "human_ngrams": _LM_COUNTS,
+}
+
+
+def _corrupt_counts(counts: dict, how: str, value) -> object:
+    key, count = next(iter(counts.items()))
+    if how == "value":
+        return value
+    if how == "count":
+        return {**counts, key: value}
+    return {**counts, key + value: count}  # a key one or more words too long
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory, corpus_path, model_path):
+    """Payloads of a saved logreg model and of saved LMs of orders 1 to 3."""
+    payloads = {}
+    with open(model_path, encoding="utf-8") as fh:
+        payloads["logreg"] = json.load(fh)
+    for n in (1, 2, 3):
+        path = tmp_path_factory.mktemp("lm") / "lm.json"
+        save_model(NGramLMDetector.fit(load_corpus(corpus_path), n=n), str(path))
+        payloads[f"lm{n}"] = json.loads(path.read_text(encoding="utf-8"))
+    return payloads
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["logreg", "lm1", "lm2", "lm3"]), data=st.data())
+def test_every_single_field_corruption_is_data_error(saved_models, corpus_path, kind, data):
+    payload = dict(saved_models[kind])
+    corruptions = _LOGREG_CORRUPTIONS if kind == "logreg" else _LM_CORRUPTIONS
+    name = data.draw(st.sampled_from(sorted(corruptions)), label="field")
+    value = data.draw(corruptions[name], label="value")
+    payload[name] = _corrupt_counts(payload[name], *value) if name.endswith("_ngrams") else value
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "broken.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["detect", "--corpus", corpus_path, "--model", path])
+    assert code == 3
+    assert "data error" in err.getvalue()
 
 
 def test_failing_adapter_is_adapter_error(capsys, corpus_path, tmp_path):

@@ -50,6 +50,8 @@ def test_blank_lines_skipped(tmp_path):
         ('{"id": "x"}', "text"),
         ('{"text": "Hi there."}', "id"),
         ('{"id": "x", "text": "Hi.", "label": 2}', "label"),
+        ('{"id": "x", "text": "Hi.", "label": true}', "label"),
+        ('{"id": "x", "text": "Hi.", "label": 1.0}', "label"),
         ('{"id": 5, "text": "Hi."}', "strings"),
         ("[1, 2]", "object"),
     ],

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -223,6 +225,13 @@ def test_model_new_validation():
         NGramLogRegModel.new(hash_buckets=True)
     with pytest.raises(InvalidConfig):
         NGramLogRegModel(n=1, feature_mode="word", hash_buckets=8, weights=np.zeros(4), bias=0.0)
+    # weights are a 1-d float64 array; bias is a real number
+    for weights in (np.zeros(8, dtype=np.int64), np.zeros(8, dtype=">f8"), np.zeros((8, 1)), [0.0] * 8):
+        with pytest.raises(InvalidConfig):
+            NGramLogRegModel(n=1, feature_mode="word", hash_buckets=8, weights=weights, bias=0.0)
+    for bias in (True, "0.5", None, 10**400):
+        with pytest.raises(InvalidConfig):
+            NGramLogRegModel(n=1, feature_mode="word", hash_buckets=8, weights=np.zeros(8), bias=bias)
 
 
 def test_bin_log_likelihood_zero_model_is_log_half():
@@ -387,6 +396,10 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(InvalidConfig):
         TrainConfig(tau=1.0)
+    # True is an int to Python; a numeric string is not a number
+    for kwargs in ({"epochs": True}, {"batch_size": True}, {"lr": "0.1"}, {"k": True}, {"tau": "0.1"}):
+        with pytest.raises(InvalidConfig):
+            TrainConfig(**kwargs)
     fc = TrainConfig(r_e=0.05, tau=0.3, k=2).filter_config()
     assert (fc.r_e, fc.tau, fc.k) == (0.05, 0.3, 2)
 
@@ -496,6 +509,23 @@ def test_lm_fit_validation():
         NGramLMDetector.fit(lm_corpus(), n=True)
     with pytest.raises(InvalidConfig):
         NGramLMDetector.fit(lm_corpus(), lam=True)
+    with pytest.raises(InvalidConfig):
+        NGramLMDetector.fit(lm_corpus(), n="2")
+    # The constructor checks what fit and load_model hand it.
+    for n, lam, machine, human in [
+        (2, 0.1, {("a",): 2}, {("b",): 1}),  # keys shorter than n never match, so all texts score 0.5
+        (1, 0.1, {("a",): -3}, {("b",): 1}),
+        (1, 0.1, {("a",): 3.5}, {("b",): 1}),
+        (1, 0.1, {("a",): True}, {("b",): 1}),
+        (1, 0.1, {"a": 2}, {("b",): 1}),
+        (1, 0.1, {(1,): 2}, {("b",): 1}),
+        (1, 0.1, {("a",): 2}, [(("b",), 1)]),
+        (1, "0.1", {("a",): 2}, {("b",): 1}),
+        (1, math.inf, {("a",): 2}, {("b",): 1}),
+        (1, 10**400, {("a",): 2}, {("b",): 1}),
+    ]:
+        with pytest.raises(InvalidConfig):
+            NGramLMDetector(n, lam, machine, human)
 
 
 # --------------------------------------------------------------------------
@@ -570,6 +600,10 @@ MALFORMED_LOGREG_FIELDS = {
     # one weight, so only the boolean stands between this file and a load
     "buckets-true": {"hash_buckets": True, "weights_b64": "AAAAAAAAAAA="},
     "seed-true": {"hash_seed": True},
+    "dtype-int": {"weights_dtype": "<i8"},
+    "dtype-big-endian": {"weights_dtype": ">f8"},
+    "weights-number": {"weights_b64": 5},
+    "weights-not-ascii": {"weights_b64": "é"},
 }
 MALFORMED_LM_FIELDS = {
     "lambda-zero": {"lambda": 0},
@@ -581,6 +615,11 @@ MALFORMED_LM_FIELDS = {
     "lambda-true": {"lambda": True},
     "machine-ngrams-list": {"machine_ngrams": [["mm", 2]]},
     "human-ngrams-string": {"human_ngrams": "hh"},
+    "lambda-inf": {"lambda": float("inf")},
+    "n-string": {"n": "1"},
+    "count-fractional": {"machine_ngrams": {"mm": 3.5}},
+    "count-negative": {"human_ngrams": {"hh": -3}},
+    "key-too-long": {"machine_ngrams": {"mm\x1fhh": 2}},
 }
 
 
@@ -635,6 +674,58 @@ def test_corrupt_lm_counts_raise(tmp_path):
         path.write_text(data.replace('"mm":2', bad), "utf-8")
         with pytest.raises(ModelFormatError):
             load_model(str(path))
+
+
+# load(save(m)) == m for models of orders 1 to 3, scores bit-equal
+
+_WORDS = st.sampled_from(["aa", "bb", "cc", "dd"])
+_TEXTS = st.lists(st.lists(_WORDS, max_size=8).map(" ".join), min_size=1, max_size=4)
+
+
+@st.composite
+def lm_models(draw):
+    docs = [
+        Document.from_text(f"d{i}", " ".join(draw(st.lists(_WORDS, min_size=1, max_size=8))) + ".", label=i % 2)
+        for i in range(draw(st.integers(2, 5)))
+    ]
+    return NGramLMDetector.fit(docs, n=draw(st.integers(1, 3)), lam=draw(st.floats(1e-3, 10.0)))
+
+
+@st.composite
+def logreg_models(draw):
+    buckets = draw(st.integers(1, 16))
+    weight = st.floats(-1e3, 1e3)  # includes -0.0 and subnormals
+    return NGramLogRegModel(
+        n=draw(st.integers(1, 3)),
+        feature_mode=draw(st.sampled_from(["word", "char"])),
+        hash_buckets=buckets,
+        weights=np.array(draw(st.lists(weight, min_size=buckets, max_size=buckets)), dtype=np.float64),
+        bias=draw(weight),
+        hash_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=st.one_of(lm_models(), logreg_models()), texts=_TEXTS)
+def test_save_load_round_trip_is_exact(model, texts):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "m.json")
+        save_model(model, path)
+        loaded = load_model(path)
+    assert type(loaded) is type(model)
+    if isinstance(model, NGramLMDetector):
+        assert loaded == model
+    else:
+        assert (loaded.n, loaded.feature_mode, loaded.hash_buckets, loaded.hash_seed) == (
+            model.n,
+            model.feature_mode,
+            model.hash_buckets,
+            model.hash_seed,
+        )
+        assert loaded.bias.hex() == model.bias.hex()
+        assert loaded.weights.dtype == np.float64 and loaded.weights.tobytes() == model.weights.tobytes()
+    for text in texts:
+        assert loaded.score(text).hex() == model.score(text).hex()
 
 
 def test_missing_model_file_raises_oserror(tmp_path):

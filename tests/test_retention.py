@@ -47,6 +47,9 @@ def test_defaults():
         {"tau": -0.1},
         {"k": 0},
         {"k": 2.0},
+        {"k": True},
+        {"tau": "0.1"},
+        {"r_e": "0.01"},
     ],
 )
 def test_config_validation(kwargs):

@@ -442,8 +442,9 @@ def test_training_rejects_bad_labels():
 def test_training_rejects_untrainable_base():
     data = small_corpus(n_docs=10)
     lm = NGramLMDetector.fit([d for d, _ in data])
-    with pytest.raises(InvalidConfig):
-        train_hard_em(lm, data, TrainConfig(epochs=1))
+    for train in (train_hard_em, train_plain):
+        with pytest.raises(InvalidConfig):
+            train(lm, data, TrainConfig(epochs=1))
 
 
 def test_training_is_seed_deterministic():

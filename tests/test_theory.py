@@ -131,6 +131,13 @@ def test_mix_validation():
         MixSpec(n=5, alpha=1.0)
     with pytest.raises(InvalidConfig):
         MixSpec(n=5, rho=1.0)
+    # True is an int to Python, and would pass as 1
+    with pytest.raises(InvalidConfig):
+        MixSpec(n=True)
+    with pytest.raises(InvalidConfig):
+        SimConfig(world=categorical_world(0.5), mix=MixSpec(n=4), trials=True)
+    with pytest.raises(InvalidConfig):
+        MixSpec(n=5, alpha="0.1")
 
 
 # --------------------------------------------------------------------------
