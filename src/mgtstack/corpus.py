@@ -25,8 +25,6 @@ def _document_from_record(record: dict, lineno: int, abbreviations: frozenset[st
         text = record["text"]
     except KeyError as exc:
         raise CorpusFormatError(f"line {lineno}: missing field {exc.args[0]!r}") from None
-    if not isinstance(doc_id, str) or not isinstance(text, str):
-        raise CorpusFormatError(f"line {lineno}: 'id' and 'text' must be strings")
     try:
         return Document.from_text(doc_id, text, record.get("label"), abbreviations)
     except InvalidConfig as exc:

@@ -45,6 +45,9 @@ from .segmentation import Document
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
+# Every ASCII character _TOKEN_RE does not match, mapped to a space, so the
+# tokens of an ASCII text are the words str.split() finds after translate.
+_ASCII_BREAKS = str.maketrans({c: " " for c in map(chr, range(128)) if not _TOKEN_RE.match(c)})
 _BOS = "\x02"  # context padding marker; the tokenizer can never emit it
 _NGRAM_SEP = "\x1f"
 
@@ -90,8 +93,13 @@ def _softplus(z: float) -> float:
 
 
 def tokenize(text: str) -> list[str]:
-    """Casefolded word tokens; punctuation separates, apostrophes bind."""
-    return _TOKEN_RE.findall(text.casefold())
+    """Casefolded word tokens, the maximal ``[a-z0-9']`` runs of the casefolded
+    text: punctuation separates, apostrophes bind.  An ASCII text takes the
+    translate/split branch, which finds the same tokens."""
+    folded = text.casefold()
+    if folded.isascii():
+        return folded.translate(_ASCII_BREAKS).split()
+    return _TOKEN_RE.findall(folded)
 
 
 # --------------------------------------------------------------------------
@@ -263,6 +271,7 @@ def grad_update(
     reproduces the input parameters exactly.
     """
     _check_batch(batch)
+    eta = _real(eta, "learning rate")
     if not math.isfinite(eta) or eta < 0:
         raise InvalidConfig(f"learning rate must be finite and >= 0, got {eta!r}")
     grad: dict[int, float] = {}  # only the touched indices of the dense gradient
@@ -320,7 +329,8 @@ class _TermTable(dict):
     P(w|ctx) = (c(ctx,w)+lam)/(c(ctx)+lam*V) with V the distinct observed
     tokens + 1 slot for unseen, stored for the class's own n-grams and
     ``more``.  Any other n-gram has count 0, so its term depends on its context
-    alone: ``unseen`` holds it per context.  Bounded by the model, not the text."""
+    alone: ``unseen`` holds it per context, and a lookup of such an n-gram
+    returns it without storing anything.  Bounded by the model, not the text."""
 
     def __init__(
         self, n: int, lam: float, ngrams: dict[tuple[str, ...], int], more: Iterable[tuple[str, ...]]
@@ -338,18 +348,19 @@ class _TermTable(dict):
         self.unseen = {ctx: log(0 + lam) - log(c + lam_v) for ctx, c in contexts.items()}
         self.unseen_default = log(0 + lam) - log(0 + lam_v)
 
+    def __missing__(self, gram: tuple[str, ...]) -> float:
+        return self.unseen.get(gram[:-1], self.unseen_default)
+
     def terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> list[float]:
         """log P(token | its n-1 predecessors) for each token, in order.  The first
         tokens' predecessors come from ``context`` (the text before ``tokens``),
         padded with BOS markers where it runs out."""
         m = self.n - 1
+        if not m:
+            return list(map(self.__getitem__, zip(tokens)))
         history = [_BOS] * m + list(context[len(context) - m :])
         padded = history[len(history) - m :] + list(tokens)
-        get, unseen, default = self.get, self.unseen.get, self.unseen_default
-        return [
-            t if (t := get(gram)) is not None else unseen(gram[:-1], default)
-            for gram in zip(*(padded[j:] for j in range(self.n)))
-        ]
+        return list(map(self.__getitem__, zip(*(padded[j:] for j in range(self.n)))))
 
 
 def _running_sum(values: Iterable[float]) -> float:
@@ -502,8 +513,8 @@ class ExternalDetector:
     timeout: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.command:
-            raise InvalidConfig("adapter command must be non-empty")
+        if type(self.command) is not tuple or not self.command or not all(type(a) is str for a in self.command):
+            raise InvalidConfig(f"adapter command must be a non-empty tuple of str, got {self.command!r}")
         if self.timeout is not None and not 0 < _real(self.timeout, "adapter timeout") < math.inf:
             raise InvalidConfig(f"adapter timeout must be finite and positive, got {self.timeout!r}")
 

@@ -147,6 +147,9 @@ class Document:
     sentences: tuple[Span, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not isinstance(self.text, str):
+            kinds = f"{type(self.id).__name__} and {type(self.text).__name__}"
+            raise InvalidConfig(f"document id and text must be strings, got {kinds}")
         if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
             raise InvalidConfig(f"label must be 0, 1 or None, got {self.label!r}")
         cursor = 0
@@ -166,7 +169,9 @@ class Document:
         label: int | None = None,
         abbreviations: frozenset[str] | None = None,
     ) -> "Document":
-        return cls(id=id, text=text, label=label, sentences=split_sentences(text, abbreviations))
+        # A text that is not a str is left to the constructor to refuse.
+        sentences = split_sentences(text, abbreviations) if isinstance(text, str) else ()
+        return cls(id=id, text=text, label=label, sentences=sentences)
 
     @property
     def n_sentences(self) -> int:

@@ -125,6 +125,13 @@ def test_empty_command_rejected():
         ExternalDetector(())
 
 
+@pytest.mark.parametrize("command", ["python3", ("python3", 5), ["python3"], (b"python3",)])
+def test_command_must_be_tuple_of_str(command):
+    # A bare string would run one character at a time: "cannot launch adapter 'p'".
+    with pytest.raises(InvalidConfig, match="tuple of str"):
+        ExternalDetector(command)
+
+
 @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("inf"), float("nan")])
 def test_timeout_must_be_finite_and_positive(timeout):
     with pytest.raises(InvalidConfig, match="timeout"):

@@ -53,6 +53,8 @@ def test_blank_lines_skipped(tmp_path):
         ('{"id": "x", "text": "Hi.", "label": true}', "label"),
         ('{"id": "x", "text": "Hi.", "label": 1.0}', "label"),
         ('{"id": 5, "text": "Hi."}', "strings"),
+        ('{"id": "x", "text": 5}', "strings"),
+        ('{"id": "x", "text": ["Hi."]}', "strings"),
         ("[1, 2]", "object"),
     ],
 )

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pickle
+import re
 import tempfile
 
 import numpy as np
@@ -73,6 +74,29 @@ def test_tokenize():
     assert tokenize("Don't stop-now 3x!") == ["don't", "stop", "now", "3x"]
     assert tokenize("ABC abc") == ["abc", "abc"]
     assert tokenize("...") == []
+
+
+# ASCII (control characters such as \x0b, \x0c and \x1c-\x1f included, which
+# str.split() treats as whitespace), non-ASCII characters that casefold to
+# ASCII (sharp s, the Kelvin sign, long s) and ones that do not.
+TOKENIZE_TEXT = st.text(
+    st.one_of(
+        st.characters(max_codepoint=127),
+        st.sampled_from("\x0b\x0c\x1c\x1d\x1e\x1f"),
+        st.sampled_from("ß\u212aſ"),
+        st.sampled_from("İé“"),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=500)
+@given(TOKENIZE_TEXT)
+@example("Don't\x1cSTOP\x0bnow\x0c3x\x1f'a'")
+@example("Straße \u212aelvin ſun")
+@example("İstanbul “café”")
+def test_tokenize_matches_regex_reference(text):
+    assert tokenize(text) == re.findall(r"[a-z0-9']+", text.casefold())
 
 
 def test_hashed_features_frozen_indices():
@@ -384,6 +408,13 @@ def test_batch_validation():
         grad_update(model, [("x", 3)], 0.1)
     with pytest.raises(InvalidConfig):
         grad_update(model, [("x", 1)], -0.1)
+
+
+@pytest.mark.parametrize("eta", ["0.1", True, None])
+def test_grad_update_eta_must_be_a_real_number(eta):
+    # A numeric string used to raise a bare TypeError, and True to step by 1.0.
+    with pytest.raises(InvalidConfig, match="learning rate"):
+        grad_update(NGramLogRegModel.new(hash_buckets=64), [("x", 1)], eta)
 
 
 def test_train_config_validation():

@@ -259,6 +259,13 @@ def test_document_label_validation():
     assert Document.from_text("d", "Hi there.", label=None).label is None
 
 
+@pytest.mark.parametrize("make", [Document, Document.from_text])
+@pytest.mark.parametrize("doc_id, text", [(5, "Hi."), ("a", 5), ("a", None), (None, "Hi.")])
+def test_document_id_and_text_must_be_str(make, doc_id, text):
+    with pytest.raises(InvalidConfig, match="strings"):
+        make(doc_id, text)
+
+
 def test_document_from_text_splits():
     doc = Document.from_text("d", "One zz. Two qq.", label=1)
     assert doc.n_sentences == 2

@@ -295,6 +295,18 @@ def test_lm_term_tables_match_reference_bit_for_bit(order, tokens, context):
         assert memo.terms(tokens) == reference_terms(det.n, det.lam, counts, tokens)
 
 
+@pytest.mark.parametrize("order", sorted(HYP_LMS))
+def test_lm_unseen_ngrams_leave_term_tables_unchanged(order):
+    # An unseen n-gram's term is its context's; looking it up stores nothing.
+    det = HYP_LMS[order]
+    sizes = [len(memo) for memo in det._memo]
+    text = "qq rr. Ss qq aa! Zz bb cc qq."  # mostly words neither class has seen
+    det.score(text)
+    det.log_ratio(text)
+    det.score_two_pass(["qq rr.", "Ss qq aa!", "Zz bb cc qq."], FilterConfig(r_e=0.3, tau=0.5, k=1))
+    assert [len(memo) for memo in det._memo] == sizes
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     doc=hyp_docs,
