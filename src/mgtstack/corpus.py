@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .errors import InvalidConfig
+from .errors import EmptyDocument, InvalidConfig
 from .segmentation import Document
 
 
@@ -27,7 +27,7 @@ def _document_from_record(record: dict, lineno: int, abbreviations: frozenset[st
         raise CorpusFormatError(f"line {lineno}: missing field {exc.args[0]!r}") from None
     try:
         return Document.from_text(doc_id, text, record.get("label"), abbreviations)
-    except InvalidConfig as exc:
+    except (InvalidConfig, EmptyDocument) as exc:
         raise CorpusFormatError(f"line {lineno}: {exc}") from None
 
 

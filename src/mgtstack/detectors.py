@@ -47,6 +47,7 @@ logger = logging.getLogger(__name__)
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 # Every ASCII character _TOKEN_RE does not match, mapped to a space, so the
 # tokens of an ASCII text are the words str.split() finds after translate.
+# The '?' that stands in for each non-ASCII character is one of them.
 _ASCII_BREAKS = str.maketrans({c: " " for c in map(chr, range(128)) if not _TOKEN_RE.match(c)})
 _BOS = "\x02"  # context padding marker; the tokenizer can never emit it
 _NGRAM_SEP = "\x1f"
@@ -94,12 +95,11 @@ def _softplus(z: float) -> float:
 
 def tokenize(text: str) -> list[str]:
     """Casefolded word tokens, the maximal ``[a-z0-9']`` runs of the casefolded
-    text: punctuation separates, apostrophes bind.  An ASCII text takes the
-    translate/split branch, which finds the same tokens."""
-    folded = text.casefold()
-    if folded.isascii():
-        return folded.translate(_ASCII_BREAKS).split()
-    return _TOKEN_RE.findall(folded)
+    text: punctuation separates, apostrophes bind.  Found with translate and
+    split: a non-ASCII character left after casefolding is a break, so it
+    becomes '?' and then a space."""
+    folded = text.casefold().encode("ascii", "replace").decode("ascii")
+    return folded.translate(_ASCII_BREAKS).split()
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +356,7 @@ class _TermTable(dict):
         tokens' predecessors come from ``context`` (the text before ``tokens``),
         padded with BOS markers where it runs out."""
         m = self.n - 1
-        if not m:
+        if not m:  # nothing to pad: skipping the copies nearly halves a unigram call's cost
             return list(map(self.__getitem__, zip(tokens)))
         history = [_BOS] * m + list(context[len(context) - m :])
         padded = history[len(history) - m :] + list(tokens)

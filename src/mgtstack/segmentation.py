@@ -130,6 +130,14 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> t
     return tuple(spans)
 
 
+def _check_id_and_text(id: object, text: object) -> None:
+    """The field rule of a document's id and text, which :meth:`Document.from_text`
+    needs before it can split the text."""
+    if not isinstance(id, str) or not isinstance(text, str):
+        kinds = f"{type(id).__name__} and {type(text).__name__}"
+        raise InvalidConfig(f"document id and text must be strings, got {kinds}")
+
+
 @dataclass(frozen=True)
 class Document:
     """A text with precomputed sentence spans and an optional class label.
@@ -147,9 +155,7 @@ class Document:
     sentences: tuple[Span, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, str) or not isinstance(self.text, str):
-            kinds = f"{type(self.id).__name__} and {type(self.text).__name__}"
-            raise InvalidConfig(f"document id and text must be strings, got {kinds}")
+        _check_id_and_text(self.id, self.text)
         if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
             raise InvalidConfig(f"label must be 0, 1 or None, got {self.label!r}")
         cursor = 0
@@ -169,9 +175,8 @@ class Document:
         label: int | None = None,
         abbreviations: frozenset[str] | None = None,
     ) -> "Document":
-        # A text that is not a str is left to the constructor to refuse.
-        sentences = split_sentences(text, abbreviations) if isinstance(text, str) else ()
-        return cls(id=id, text=text, label=label, sentences=sentences)
+        _check_id_and_text(id, text)
+        return cls(id=id, text=text, label=label, sentences=split_sentences(text, abbreviations))
 
     @property
     def n_sentences(self) -> int:

@@ -363,13 +363,21 @@ def test_non_int_label_is_data_error_naming_the_line(capsys, model_path, tmp_pat
     assert "corpus error" in err and "line 2" in err and "label" in err
 
 
-@pytest.mark.parametrize("record", ['{"id": 5, "text": "Ok."}', '{"id": "b", "text": 5}'])
-def test_non_str_id_or_text_is_data_error_naming_the_line(capsys, model_path, tmp_path, record):
+@pytest.mark.parametrize(
+    "record, fragment",
+    [
+        ('{"id": 5, "text": "Ok."}', "strings"),
+        ('{"id": "b", "text": 5}', "strings"),
+        ('{"id": 5, "text": "   "}', "strings"),
+        ('{"id": "b", "text": "   "}', "no sentences"),
+    ],
+)
+def test_bad_document_is_data_error_naming_the_line(capsys, model_path, tmp_path, record, fragment):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "text": "Ok."}\n' + record + "\n", encoding="utf-8")
     code, _, err = run(capsys, ["detect", "--corpus", str(path), "--model", model_path])
     assert code == 3
-    assert "corpus error" in err and "line 2" in err and "strings" in err
+    assert "corpus error" in err and "line 2" in err and fragment in err
 
 
 def test_missing_model_file(capsys, corpus_path, tmp_path):

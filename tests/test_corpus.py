@@ -55,6 +55,9 @@ def test_blank_lines_skipped(tmp_path):
         ('{"id": 5, "text": "Hi."}', "strings"),
         ('{"id": "x", "text": 5}', "strings"),
         ('{"id": "x", "text": ["Hi."]}', "strings"),
+        ('{"id": 5, "text": "   "}', "strings"),
+        ('{"id": "x", "text": "   "}', "no sentences"),
+        ('{"id": "x", "text": ""}', "no sentences"),
         ("[1, 2]", "object"),
     ],
 )

@@ -78,13 +78,15 @@ def test_tokenize():
 
 # ASCII (control characters such as \x0b, \x0c and \x1c-\x1f included, which
 # str.split() treats as whitespace), non-ASCII characters that casefold to
-# ASCII (sharp s, the Kelvin sign, long s) and ones that do not.
+# ASCII (sharp s, the Kelvin sign, long s), ones that do not, and any other
+# character.
 TOKENIZE_TEXT = st.text(
     st.one_of(
         st.characters(max_codepoint=127),
         st.sampled_from("\x0b\x0c\x1c\x1d\x1e\x1f"),
         st.sampled_from("ß\u212aſ"),
         st.sampled_from("İé“"),
+        st.characters(),
     ),
     max_size=40,
 )
@@ -95,6 +97,7 @@ TOKENIZE_TEXT = st.text(
 @example("Don't\x1cSTOP\x0bnow\x0c3x\x1f'a'")
 @example("Straße \u212aelvin ſun")
 @example("İstanbul “café”")
+@example("what?is\u2019it\u2026\u2014no")
 def test_tokenize_matches_regex_reference(text):
     assert tokenize(text) == re.findall(r"[a-z0-9']+", text.casefold())
 
