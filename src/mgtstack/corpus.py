@@ -32,7 +32,13 @@ def _document_from_record(record: dict, lineno: int, abbreviations: frozenset[st
 
 
 def load_corpus(path: str, abbreviations: frozenset[str] | None = None) -> list[Document]:
-    """Read a JSONL corpus, splitting each document into sentences."""
+    """Read a JSONL corpus.
+
+    Each document splits into sentences, with ``abbreviations`` as its guard
+    list, the first time its ``sentences`` are read, so a caller that reads
+    only the texts never splits.  A blank text still fails here, naming its
+    line.
+    """
     docs: list[Document] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -126,6 +126,7 @@ def random_mask(n_groups: int, drop_ratio: float, seed: int) -> RetentionMask:
     """Drop exactly snap_floor(drop_ratio * n_groups) groups chosen uniformly,
     so a ratio matches the constrained rule's budget for the same tau."""
     _check_int(n_groups, "n_groups")
+    drop_ratio = _real(drop_ratio, "drop_ratio")
     if not (0.0 <= drop_ratio < 1.0):
         raise InvalidConfig(f"drop_ratio must be in [0, 1), got {drop_ratio!r}")
     rng = random.Random(seed)

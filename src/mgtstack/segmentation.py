@@ -15,10 +15,10 @@ inter-sentence whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 from .errors import EmptyDocument, EmptyRetention, InvalidConfig, _check_int
 
@@ -130,42 +130,72 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> t
     return tuple(spans)
 
 
-def _check_id_and_text(id: object, text: object) -> None:
-    """The field rule of a document's id and text, which :meth:`Document.from_text`
-    needs before it can split the text."""
-    if not isinstance(id, str) or not isinstance(text, str):
-        kinds = f"{type(id).__name__} and {type(text).__name__}"
-        raise InvalidConfig(f"document id and text must be strings, got {kinds}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Document:
-    """A text with precomputed sentence spans and an optional class label.
+    """A text with sentence spans and an optional class label.
 
     ``label`` is 1 for machine-generated, 0 for human-written, None when
     unknown (e.g. detection input).  ``sentences`` are non-empty, in order,
     and separated by whitespace, and the text holds only whitespace outside
     them, as :func:`split_sentences` leaves it.  So no word crosses a span
     boundary, and the words of the groups, in order, are the document's.
+
+    Spans given to the constructor are checked there.  Without them the
+    spans are lazy: the first read of ``sentences`` splits ``text`` with the
+    abbreviation list given to :meth:`from_text` (the packaged one by
+    default) and keeps the result, so a caller that reads only ``text``,
+    such as the base detector's scoring, never splits.  A blank text raises
+    EmptyDocument at construction all the same.  Documents compare equal
+    when their ids, texts, labels and spans are; pickling keeps unread spans
+    unread.
     """
 
     id: str
     text: str
     label: int | None = None
-    sentences: tuple[Span, ...] = field(default_factory=tuple)
+    sentences: InitVar[tuple[Span, ...] | None] = None
+    _abbreviations: ClassVar[frozenset[str] | None] = None
 
-    def __post_init__(self) -> None:
-        _check_id_and_text(self.id, self.text)
+    def __post_init__(self, sentences: tuple[Span, ...] | None) -> None:
+        if not isinstance(self.id, str) or not isinstance(self.text, str):
+            kinds = f"{type(self.id).__name__} and {type(self.text).__name__}"
+            raise InvalidConfig(f"document id and text must be strings, got {kinds}")
         if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
             raise InvalidConfig(f"label must be 0, 1 or None, got {self.label!r}")
+        if sentences is None:
+            if not self.text or self.text.isspace():
+                raise EmptyDocument("text contains no sentences")
+            return
         cursor = 0
-        for i, (start, end) in enumerate(self.sentences):
+        for i, (start, end) in enumerate(sentences):
             gap = self.text[cursor:start]
             if not cursor <= start < end <= len(self.text) or not (gap.isspace() or (i == 0 and not gap)):
                 raise InvalidConfig(f"document {self.id!r}: sentence span {i} overlaps or skips text")
             cursor = end
         if self.text[cursor:].strip():
             raise InvalidConfig(f"document {self.id!r} has text after its last sentence span")
+        object.__setattr__(self, "sentences", sentences)
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: unread spans.
+        if name != "sentences":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        spans = split_sentences(self.text, self._abbreviations)
+        object.__setattr__(self, "sentences", spans)
+        return spans
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.id, self.text, self.label, self.sentences) == (
+            other.id,
+            other.text,
+            other.label,
+            other.sentences,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.text, self.label))
 
     @classmethod
     def from_text(
@@ -175,8 +205,11 @@ class Document:
         label: int | None = None,
         abbreviations: frozenset[str] | None = None,
     ) -> "Document":
-        _check_id_and_text(id, text)
-        return cls(id=id, text=text, label=label, sentences=split_sentences(text, abbreviations))
+        """A document whose spans :func:`split_sentences` gives on first read."""
+        doc = cls(id, text, label)
+        if abbreviations is not None:
+            object.__setattr__(doc, "_abbreviations", abbreviations)
+        return doc
 
     @property
     def n_sentences(self) -> int:
@@ -184,6 +217,10 @@ class Document:
 
     def sentence_texts(self) -> list[str]:
         return [self.text[s.start : s.end] for s in self.sentences]
+
+
+# The InitVar's class default would hide unread spans from __getattr__.
+del Document.sentences
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,17 @@ from mgtstack import (
     ModelFormatError,
     NGramLMDetector,
     NGramLogRegModel,
+    SplitSpec,
     SynthSpec,
     TrainTrace,
     load_corpus,
     load_model,
     save_corpus,
     save_model,
+    split_dataset,
     synth_corpus,
 )
-from mgtstack import cli, theory
+from mgtstack import cli, segmentation, theory
 from mgtstack.cli import main
 
 
@@ -787,6 +789,59 @@ def test_bench_alternates_arms_chunk_by_chunk(capsys, corpus_path, model_path, m
     assert code == 0 and json.loads(out)["n_docs"] == 40
     one_repeat = [("base", 15), ("stacked", 15), ("base", 15), ("stacked", 15), ("base", 10), ("stacked", 10)]
     assert calls == one_repeat * 2
+
+
+# ---------------------------------------------------------------------------
+# lazy sentence spans: each verb splits only the documents it groups, once
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The texts handed to ``split_sentences``, in call order."""
+    calls = []
+    split = segmentation.split_sentences
+
+    def counting(text, abbreviations=None):
+        calls.append(text)
+        return split(text, abbreviations)
+
+    monkeypatch.setattr(segmentation, "split_sentences", counting)
+    return calls
+
+
+def test_eval_without_stacked_never_splits(capsys, corpus_path, model_path, split_calls):
+    assert run(capsys, ["eval", "--corpus", corpus_path, "--model", model_path])[0] == 0
+    assert split_calls == []
+
+
+def test_detect_splits_each_document_once(capsys, corpus_path, model_path, split_calls):
+    texts = [doc.text for doc in load_corpus(corpus_path)]
+    split_calls.clear()
+    # Every document is filtered, so its groups are read after its count.
+    argv = ["detect", "--corpus", corpus_path, "--model", model_path, "--tau", "0.5", "--k", "1"]
+    assert run(capsys, argv)[0] == 0
+    assert split_calls == texts
+
+
+def test_train_splits_each_grouped_document_once(capsys, corpus_path, tmp_path, split_calls):
+    # The hard-EM E-step groups the training split in every epoch and the
+    # report groups the validation split; the test split is never grouped.
+    train, val, _ = split_dataset(load_corpus(corpus_path), SplitSpec(ratios=(2, 1, 1), seed=7))
+    split_calls.clear()
+    argv = ["train", "--corpus", corpus_path, "--out", str(tmp_path), "--epochs", "3", "--seed", "7"]
+    assert run(capsys, [*argv, "--hash-buckets", "4096", "--batch-size", "16"])[0] == 0
+    assert sorted(split_calls) == sorted(doc.text for doc in train + val)
+
+
+def test_bench_splits_before_timing(capsys, corpus_path, model_path, split_calls, monkeypatch):
+    seen = []  # splits made so far, at each timed call of either arm
+    for name in ("score_batch", "score_corpus"):
+        arm = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, arm=arm: seen.append(len(split_calls)) or arm(*args))
+    code, out, _ = run(capsys, ["bench", "--corpus", corpus_path, "--model", model_path, "--repeats", "1"])
+    assert code == 0 and json.loads(out)["n_docs"] == 40
+    assert len(seen) == 2 * math.ceil(40 / cli.BENCH_CHUNK_DOCS)
+    assert seen == [40] * len(seen) and len(split_calls) == 40
 
 
 @pytest.mark.parametrize(

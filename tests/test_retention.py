@@ -50,11 +50,16 @@ def test_defaults():
         {"k": True},
         {"tau": "0.1"},
         {"r_e": "0.01"},
+        {"drop_ratio": "0.1"},  # random_mask's ratio, by the same rule
+        {"drop_ratio": None},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(InvalidConfig):
-        FilterConfig(**kwargs)
+        if "drop_ratio" in kwargs:
+            random_mask(4, seed=0, **kwargs)
+        else:
+            FilterConfig(**kwargs)
 
 
 @pytest.mark.parametrize(

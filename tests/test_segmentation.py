@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -124,19 +126,34 @@ def test_packaged_abbreviations_loaded_once():
 # splitting invariants
 
 
+# Pieces of texts to split: straight and curly quotes, nested and unbalanced
+# brackets, leading quotes, terminators inside and after words, Unicode
+# whitespace, characters whose casefold changes length, and words of the
+# custom guard list below.
+_PIECES = (
+    *"ab c.!?…()[]{}\"“”'‘\n\t",
+    *"\x1c\x85\xa0\u2009\u3000ßİ",
+    "e.g.", "Dr.", "zz.", "'zz.", "‘qq.", "ss.", "v1.2",
+)
+_GUARDS = (None, frozenset({"zz.", "qq.", "ss."}))
+
+
 @st.composite
 def raw_texts(draw):
-    alphabet = "ab c.!?()\"“”…\n\t"
-    text = draw(st.text(alphabet=alphabet, min_size=1, max_size=120))
+    text = "".join(draw(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=40)))
     if not text.strip():
         text = text + "a"
     return text
 
 
-@given(raw_texts())
-@settings(max_examples=300)
-def test_spans_are_ordered_disjoint_and_cover_nonspace(text):
-    spans = split_sentences(text)
+@given(raw_texts(), st.sampled_from(_GUARDS))
+@settings(max_examples=500)
+def test_spans_are_ordered_disjoint_and_cover_nonspace(text, guard):
+    spans = split_sentences(text, guard)
+    # The splitter's spans pass the constructor's check on hand-built spans.
+    assert Document("d", text, sentences=spans).sentences == spans
+    for span in spans[:-1]:  # only the last sentence may lack a terminator
+        assert text[span.end - 1] in ".!?…" and text[span.end].isspace()
     prev_end = 0
     covered = set()
     for span in spans:
@@ -155,6 +172,26 @@ def test_spans_are_ordered_disjoint_and_cover_nonspace(text):
 @settings(max_examples=150)
 def test_splitting_is_deterministic(text):
     assert split_sentences(text) == split_sentences(text)
+
+
+@pytest.mark.parametrize("unit", ["e.g.\xa0", "Dr.\u3000", "zz.\x85"])
+def test_text_without_ascii_space_splits_in_linear_time(unit):
+    # Every period here ends a word followed by whitespace, none of it an
+    # ASCII space, so each one is a candidate break whose word is looked up.
+    def seconds(size: int) -> float:
+        text = unit * (size // len(unit))
+        gc.disable()  # a collection costs time in the whole heap, not the text
+        try:
+            started = time.perf_counter()
+            split_sentences(text)
+            return time.perf_counter() - started
+        finally:
+            gc.enable()
+
+    small = min(seconds(10**4) for _ in range(3))
+    # Ten times the text takes about ten times as long; a lookup that walked
+    # back further than the word would take about a hundred times as long.
+    assert min(seconds(10**5) for _ in range(2)) < 30 * small
 
 
 @st.composite
