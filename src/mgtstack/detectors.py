@@ -23,7 +23,6 @@ import logging
 import math
 import re
 import subprocess
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Protocol, Sequence, runtime_checkable
@@ -151,12 +150,10 @@ _bucket_memo = lru_cache(maxsize=4)(_BucketMemo)  # one memo per layout; a proce
 @lru_cache(maxsize=32768)
 def hashed_features(
     text: str, feature_mode: str, n: int, hash_buckets: int, hash_seed: int
-) -> tuple[tuple[int, int], ...]:
-    """Sparse hashed counts of all n-grams of orders 1..n.
-
-    Word mode runs over casefolded word tokens; char mode over the casefolded
-    raw string.  Returns (bucket index, count) pairs sorted by index, so any
-    accumulation over them is order-deterministic.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse hashed counts of the n-grams of orders 1..n of the casefolded word
+    tokens (word mode) or casefolded string (char mode): two read-only
+    ``np.intp`` arrays ``(idx, counts)``, idx strictly ascending.
     """
     _check_hashing(feature_mode, n, hash_buckets, hash_seed)
     if feature_mode == "word":
@@ -166,10 +163,12 @@ def hashed_features(
         units = text.casefold()
         join = "".join
     bucket = _bucket_memo(hash_buckets, hash_seed).__getitem__
-    counts: Counter[int] = Counter()
-    for order in range(1, n + 1):
-        counts.update(map(bucket, map(join, zip(*(units[j:] for j in range(order))))))
-    return tuple(sorted(counts.items()))
+    ids = list(map(bucket, units))
+    for order in range(2, n + 1):
+        ids.extend(map(bucket, map(join, zip(*(units[j:] for j in range(order))))))
+    idx, counts = np.unique(np.array(ids, dtype=np.intp), return_counts=True)
+    idx.flags.writeable = counts.flags.writeable = False
+    return idx, counts
 
 
 # --------------------------------------------------------------------------
@@ -216,17 +215,17 @@ class NGramLogRegModel:
             hash_seed=hash_seed,
         )
 
-    def features(self, text: str) -> tuple[tuple[int, int], ...]:
+    def features(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         return hashed_features(text, self.feature_mode, self.n, self.hash_buckets, self.hash_seed)
 
     def logit(self, text: str) -> float:
+        idx, counts = self.features(text)
         z = self.bias
-        w = self.weights
-        for idx, cnt in self.features(text):
-            z += w[idx] * cnt
+        for term in (self.weights[idx] * counts).tolist():  # added in index order, unlike np.sum/sum()
+            z += term
         if not math.isfinite(z):
             raise NumericalError(f"non-finite logit for text of length {len(text)}")
-        return float(z)
+        return z
 
     def score(self, text: str) -> float:
         return sigmoid(self.logit(text))
@@ -278,8 +277,9 @@ def grad_update(
     grad_b = 0.0
     for text, y in batch:
         resid = y - model.score(text)
-        for idx, cnt in model.features(text):
-            grad[idx] = grad.get(idx, 0.0) + resid * cnt
+        idx, counts = model.features(text)
+        for i, cnt in zip(idx.tolist(), counts.tolist()):
+            grad[i] = grad.get(i, 0.0) + resid * cnt
         grad_b += resid
     touched = np.fromiter(grad, dtype=np.intp, count=len(grad))
     grad_w = np.fromiter(grad.values(), dtype=np.float64, count=len(grad)) / len(batch)

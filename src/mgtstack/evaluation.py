@@ -196,8 +196,8 @@ def inject_human_sentences(
 ) -> Document:
     """Replace ``count`` uniformly chosen sentences with draws from the pool.
 
-    Returns a re-split document with the same id and label; count = 0 is the
-    identity.
+    Returns a document with the same id and label, re-split with the source's
+    abbreviation list; count = 0 is the identity.
     """
     _check_int(count, "count", 0)
     if count == 0:
@@ -217,7 +217,7 @@ def inject_human_sentences(
         parts.append(replacements.get(i, text[span.start : span.end]))
         cursor = span.end
     parts.append(text[cursor:])
-    return Document.from_text(machine_doc.id, "".join(parts), machine_doc.label)
+    return Document.from_text(machine_doc.id, "".join(parts), machine_doc.label, machine_doc._abbreviations)
 
 
 # --------------------------------------------------------------------------

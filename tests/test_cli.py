@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 
@@ -27,6 +29,8 @@ from mgtstack import (
     SplitSpec,
     SynthSpec,
     TrainTrace,
+    human_sentence_pool,
+    inject_human_sentences,
     load_corpus,
     load_model,
     save_corpus,
@@ -979,3 +983,69 @@ def test_simulate_matches_golden_csv(capsys, tmp_path):
     golden = os.path.join(os.path.dirname(__file__), "data", "simulate_golden.csv")
     with open(golden, "rb") as fh:
         assert produced == fh.read()
+
+
+# ---------------------------------------------------------------------------
+# golden logistic-detector outputs
+
+GOLDEN_LOGREG = {
+    "word-2": (
+        ["--feature-mode", "word", "--ngram-order", "2"],
+        {
+            "model.json": "18f8539de809fbb7e113f3eee45e4dac9c5b74376a3ea39b0194029b564bf136",
+            "eval_val.json": "5c9bed5bffe18aca95d7430da0fcc2dc09e9b7953d34393601c26268b2cb14df",
+            "detect": "084a3d32934e2291709cf3ad3f68148c8a9c8fadf9a9e392f00e6d0d6715cc08",
+            "eval": "0cbeb630595015c27037d9e6a0aa0cdd1c5c657a044604cfed02648d026adcd2",
+            "eval-stacked": "b3ac20b7329e356abfc82e83952a0fbd28efa7015b6ca81cb00b2db890948238",
+        },
+    ),
+    "char-3": (
+        ["--feature-mode", "char", "--ngram-order", "3"],
+        {
+            "model.json": "2270edae072e1428591e4bbb165687d87b13abe222979b620d6c6edca3ce1a3b",
+            "eval_val.json": "b3f736a9fb31dd9862c6f3cb0efe749607f47d00bb899a779fb9d03eaf6bb1a3",
+            "detect": "405c78a105bdced3f52be59142d4baa2ea5b801b8f709a2dfdf3362e470ccaea",
+            "eval": "5ff58b0e668b2bc5a0e4b9183ffabffd36864a795af62962043b7e96fd69c92d",
+            "eval-stacked": "9c15402ff95defeea2cc36c43f0c3ea6acb46690a1247ebac05071485b678be9",
+        },
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_logreg_corpus(tmp_path_factory):
+    """Weak-signal mixed documents: every machine document carries one or two
+    human sentences, so scores spread and the stacked filter drops groups."""
+    spec = SynthSpec(n_docs=48, seed=21, sentences_per_doc=(5, 8), strong_frac=0.4, weak_prob=0.6)
+    pool = human_sentence_pool(spec, 60, 22)
+    rng = random.Random(23)
+    docs = synth_corpus(spec)
+    docs = [inject_human_sentences(d, pool, rng.randint(1, 2), rng) if d.label == 1 else d for d in docs]
+    path = tmp_path_factory.mktemp("golden") / "corpus.jsonl"
+    save_corpus(str(path), docs)
+    return str(path)
+
+
+@pytest.mark.parametrize("layout", sorted(GOLDEN_LOGREG))
+def test_logreg_outputs_match_golden_digests(capsys, golden_logreg_corpus, tmp_path, layout):
+    """SHA-256 digests of every output of a trained logistic detector: ``train``
+    (``model.json``, ``eval_val.json``), ``detect``, ``eval`` and
+    ``eval --stacked``.
+
+    The digests were written by source commit 5e5368f under numpy 2.4.6, so
+    any change to feature extraction, scoring or the M-step that moves a
+    single bit of a weight or a score fails here.
+    """
+    flags, expected = GOLDEN_LOGREG[layout]
+    corpus, train = golden_logreg_corpus, tmp_path / "train"
+    argv = ["train", "--corpus", corpus, "--out", str(train), "--epochs", "2", "--lr", "0.5", "--seed", "5"]
+    assert run(capsys, [*argv, "--batch-size", "8", "--hash-buckets", "4096", *flags])[0] == 0
+    outputs = {name: train / name for name in ("model.json", "eval_val.json")}
+    model = ["--corpus", corpus, "--model", str(train / "model.json")]
+    stacked = ["--re", "0.45", "--tau", "0.5"]
+    verbs = {"detect": ["detect", *stacked], "eval": ["eval"], "eval-stacked": ["eval", "--stacked", *stacked]}
+    for name, verb in verbs.items():
+        outputs[name] = tmp_path / name
+        assert run(capsys, [*verb, *model, "--out", str(outputs[name])])[0] == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outputs.items()}
+    assert digests == expected

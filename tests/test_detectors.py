@@ -102,15 +102,21 @@ def test_tokenize_matches_regex_reference(text):
     assert tokenize(text) == re.findall(r"[a-z0-9']+", text.casefold())
 
 
+def pairs(feats):
+    """``(idx, counts)`` arrays as the (index, count) pairs the tests state."""
+    idx, counts = feats
+    return tuple(zip(idx.tolist(), counts.tolist()))
+
+
 def test_hashed_features_frozen_indices():
     # blake2b(key, digest_size=8, person=seed)::little % buckets, frozen so a
     # scheme change cannot slip by.  zz -> 31, qq -> 2 at 64 buckets, seed 0.
-    assert hashed_features("zz qq zz", "word", 1, 64, 0) == ((2, 1), (31, 2))
-    assert hashed_features("zz", "word", 1, 2**18, 0) == ((57695, 1),)
+    assert pairs(hashed_features("zz qq zz", "word", 1, 64, 0)) == ((2, 1), (31, 2))
+    assert pairs(hashed_features("zz", "word", 1, 2**18, 0)) == ((57695, 1),)
 
 
 def test_hashed_features_match_reference_hash():
-    feats = dict(hashed_features("zz qq", "word", 2, 64, 0))
+    feats = dict(pairs(hashed_features("zz qq", "word", 2, 64, 0)))
     assert feats[ref_hash64(b"zz", 0) % 64] == 1
     assert feats[ref_hash64(b"qq", 0) % 64] == 1
     assert feats[ref_hash64(b"zz\x1fqq", 0) % 64] == 1
@@ -118,11 +124,12 @@ def test_hashed_features_match_reference_hash():
 
 
 def test_hashed_features_seed_changes_layout():
-    assert hashed_features("zz qq zz", "word", 1, 64, 0) != hashed_features("zz qq zz", "word", 1, 64, 1)
+    layouts = [pairs(hashed_features("zz qq zz", "word", 1, 64, seed)) for seed in (0, 1)]
+    assert layouts[0] != layouts[1]
 
 
 def test_hashed_features_char_mode():
-    feats = dict(hashed_features("ab", "char", 2, 1024, 0))
+    feats = dict(pairs(hashed_features("ab", "char", 2, 1024, 0)))
     expected_keys = {ref_hash64(b"a", 0) % 1024, ref_hash64(b"b", 0) % 1024, ref_hash64(b"ab", 0) % 1024}
     assert set(feats) == expected_keys
     # Non-ASCII: char n-grams run over the casefolded string, "éssé".
@@ -131,7 +138,7 @@ def test_hashed_features_char_mode():
     for gram in grams:
         idx = ref_hash64(gram.encode("utf-8"), 3) % 64
         expected[idx] = expected.get(idx, 0) + 1
-    assert dict(hashed_features("ÉßÉ", "char", 3, 64, 3)) == expected
+    assert dict(pairs(hashed_features("ÉßÉ", "char", 3, 64, 3))) == expected
 
 
 def test_hashed_features_validation():
@@ -184,7 +191,7 @@ FEATURE_LAYOUT = {
 def test_hashed_features_match_reference_loop(text, feature_mode, n, hash_buckets, hash_seed):
     # __wrapped__ skips the text-level cache, so every example runs the code.
     got = hashed_features.__wrapped__(text, feature_mode, n, hash_buckets, hash_seed)
-    assert got == reference_hashed_features(text, feature_mode, n, hash_buckets, hash_seed)
+    assert pairs(got) == reference_hashed_features(text, feature_mode, n, hash_buckets, hash_seed)
 
 
 @pytest.fixture
@@ -201,7 +208,7 @@ def test_bucket_memo_bound_changes_nothing(monkeypatch, fresh_bucket_memos):
         for buckets, seed in ((7, 0), (2**18, 5)):
             for text in texts * 2:
                 got = hashed_features.__wrapped__(text, mode, 3, buckets, seed)
-                assert got == reference_hashed_features(text, mode, 3, buckets, seed)
+                assert pairs(got) == reference_hashed_features(text, mode, 3, buckets, seed)
                 assert len(detectors._bucket_memo(buckets, seed)) <= 3
     assert len(detectors._bucket_memo(7, 0)) == 3
 
@@ -218,6 +225,17 @@ def test_hashed_features_cache_counts_hits_and_misses():
     assert (after.misses, after.hits) == (mid.misses, mid.hits + 1)
 
 
+def test_hashed_features_arrays_are_read_only():
+    text = "a text only this test hashes: kqv zzx kqv"
+    idx, counts = hashed_features(text, "char", 2, 64, 0)
+    before = pairs((idx, counts))
+    for array in (idx, counts):
+        with pytest.raises(ValueError):
+            array[0] = 5
+    cached = hashed_features(text, "char", 2, 64, 0)
+    assert cached[0] is idx and pairs(cached) == before
+
+
 # --------------------------------------------------------------------------
 # logistic-regression model
 
@@ -232,13 +250,53 @@ def test_logit_is_weighted_count_sum():
     model = NGramLogRegModel.new(hash_buckets=64)
     feats = model.features("zz qq zz")
     weights = model.weights.copy()
-    for idx, _ in feats:
+    for idx, _ in pairs(feats):
         weights[idx] = 0.25
     model = NGramLogRegModel(
         n=1, feature_mode="word", hash_buckets=64, weights=weights, bias=-0.5
     )
     # logit = 0.25 * 2 (zz twice) + 0.25 * 1 (qq) + bias
     assert model.logit("zz qq zz") == pytest.approx(0.25 * 3 - 0.5, abs=1e-15)
+
+
+def reference_logit(model, text):
+    # The pair loop the array logit replaced: numpy-scalar products added to
+    # the bias one by one in ascending index order.
+    z = model.bias
+    layout = (model.feature_mode, model.n, model.hash_buckets, model.hash_seed)
+    for idx, cnt in reference_hashed_features(text, *layout):
+        z += model.weights[idx] * cnt
+    if not math.isfinite(z):
+        raise NumericalError(f"non-finite logit for text of length {len(text)}")
+    return float(z)
+
+
+LOGIT_WEIGHT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1e308, -1e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=FEATURE_TEXT,
+    **{**FEATURE_LAYOUT, "hash_buckets": st.sampled_from([1, 2, 3, 7])},
+    weights=st.lists(LOGIT_WEIGHT, min_size=7, max_size=7),
+    bias=st.floats(-2.0, 2.0) | st.sampled_from([-0.0, 1e308]),
+)
+@example(text="", feature_mode="word", n=3, hash_buckets=7, hash_seed=0, weights=[0.0] * 7, bias=-0.0)
+@example(text="zz zz", feature_mode="word", n=1, hash_buckets=1, hash_seed=0, weights=[1e308] * 7, bias=0.0)
+@example(text="ab ab", feature_mode="char", n=2, hash_buckets=7, hash_seed=1, weights=[-1e308] * 7, bias=0.0)
+@example(text="a", feature_mode="char", n=1, hash_buckets=2, hash_seed=0, weights=[-0.0] * 7, bias=-0.0)
+def test_logit_matches_pair_loop_reference(text, feature_mode, n, hash_buckets, hash_seed, weights, bias):
+    model = NGramLogRegModel(n, feature_mode, hash_buckets, np.array(weights[:hash_buckets]), bias, hash_seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expected = reference_logit(model, text)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                model.logit(text)
+            return
+        got = model.logit(text)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 def test_model_new_validation():
@@ -327,7 +385,7 @@ def test_gradient_matches_finite_differences():
         n=1, feature_mode="word", hash_buckets=64, weights=rng.normal(scale=0.2, size=64), bias=0.1
     )
     batch = [("zz qq zz", 1), ("vv ww", 0), ("qq vv qq", 1)]
-    touched = sorted({idx for text, _ in batch for idx, _ in model.features(text)})
+    touched = sorted({idx for text, _ in batch for idx, _ in pairs(model.features(text))})
     stepped = grad_update(model, batch, 1.0)
     analytic_w = stepped.weights - model.weights
     analytic_b = stepped.bias - model.bias
@@ -348,7 +406,7 @@ def reference_grad_update(model, batch, eta):
     grad_b = 0.0
     for text, y in batch:
         resid = y - model.score(text)
-        for idx, cnt in model.features(text):
+        for idx, cnt in pairs(model.features(text)):
             grad_w[idx] += resid * cnt
         grad_b += resid
     grad_w /= len(batch)

@@ -377,6 +377,17 @@ def test_inject_preserves_separators():
     assert ".   " in out.text
 
 
+def test_inject_keeps_custom_abbreviations():
+    # The injected document is re-split with the source's guard list, so
+    # "zz." stays inside its sentence.
+    text = "Call zz. now. Then go. And stop. Fine."
+    doc = Document.from_text("a", text, 1, abbreviations=frozenset({"zz."}))
+    assert doc.n_sentences == 4
+    outs = [inject_human_sentences(doc, ["Human words here."], 1, random.Random(seed)) for seed in range(8)]
+    assert any("zz." in out.text for out in outs)
+    assert all(out.n_sentences == 4 for out in outs)
+
+
 def test_inject_deterministic_per_seed():
     doc = make_doc([f"Machine line {i} runs." for i in range(6)], doc_id="m", label=1)
     pool = ["Human one.", "Human two.", "Human three."]
