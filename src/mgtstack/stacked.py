@@ -15,7 +15,10 @@ the base detector.  There are two routes:
 * Every other base takes two batches: all groups of all documents in one
   ``score_batch`` call, then all retained texts in one more.  A document
   whose mask keeps every group is rescored as its own text, so degeneration
-  is exact for any base detector.
+  is exact for any base detector.  A base with its own ``score_batch`` gets
+  the whole list: the logistic detector counts the features of 512 texts
+  with one ``np.unique``, an adapter sends them to one process launch.
+  Either way each score equals the base's ``score`` of that text.
 
 Training alternates a hard E-step (pass 1 over the current batch with the
 current parameters) with a single gradient-ascent M-step on the retained

@@ -36,3 +36,11 @@ def test_traced_methods_resolve(perfbench):
     for _, module, cls_name, method, _ in perfbench["spans"].METHODS:
         cls = getattr(importlib.import_module(module), cls_name)
         assert callable(getattr(cls, method)), f"{module}.{cls_name}.{method}"
+
+
+def test_hash_cache_counters_resolve():
+    # perfbench/child.py reads hashed_features.cache_info() after every verb,
+    # though the logreg batch path no longer goes through that cache.
+    from mgtstack.detectors import hashed_features
+
+    assert callable(hashed_features.cache_info)

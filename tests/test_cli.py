@@ -686,6 +686,10 @@ def test_eval_and_train_validation_use_custom_abbreviations(capsys, tmp_path, re
             validated.append(text)
             return quiet_score(text)
 
+        def score_batch(self, texts):
+            # The batch path scores without calling score; record it too.
+            return [self.score(text) for text in texts]
+
     def fake_training(base, pairs, tc):
         return RecordingModel(base.n, base.feature_mode, base.hash_buckets, base.weights, base.bias), TrainTrace()
 
@@ -709,6 +713,16 @@ def test_log_lines_are_json(capsys, tmp_path):
     assert records
     assert all(set(r) == {"level", "logger", "event"} for r in records)
     assert {"level": "INFO", "logger": "mgtstack.cli", "event": f"simulate: wrote 1 rows to {out}"} in records
+
+
+def test_train_rejects_hash_buckets_past_the_bound(capsys, corpus_path, tmp_path):
+    # 2**60 buckets used to reach np.zeros and exit 1 with a numpy traceback.
+    out = tmp_path / "run"
+    code, _, err = run(capsys, ["train", "--corpus", corpus_path, "--out", str(out), "--hash-buckets", str(2**60)])
+    assert code == 2
+    assert "hash_buckets" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -150,13 +150,26 @@ def test_hashed_features_validation():
 
 @pytest.mark.parametrize(
     "n, hash_buckets, hash_seed",
-    [(1.5, 64, 0), (1, 0, 0), (1, 64, -1), (True, 64, 0), (1, True, 0), (1, 64, True)],
-    ids=["fractional-n", "zero-buckets", "negative-seed", "true-n", "true-buckets", "true-seed"],
+    [(1.5, 64, 0), (1, 0, 0), (1, 64, -1), (True, 64, 0), (1, True, 0), (1, 64, True), (2, 2**60, 0), (2, 2**70, 0)],
+    ids=[
+        "fractional-n",
+        "zero-buckets",
+        "negative-seed",
+        "true-n",
+        "true-buckets",
+        "true-seed",
+        "buckets-2**60",
+        "buckets-2**70",
+    ],
 )
 def test_hashed_features_rejects_bad_layout(n, hash_buckets, hash_seed):
     # Direct callers get the same error as a model built with these values.
+    # 2**60 buckets used to reach numpy (ValueError on allocation) and 2**70
+    # a bare OverflowError from the id array.
     with pytest.raises(InvalidConfig):
-        hashed_features("a b", "word", n, hash_buckets, hash_seed)
+        hashed_features("alpha beta gamma delta 0", "word", n, hash_buckets, hash_seed)
+    with pytest.raises(InvalidConfig):
+        NGramLogRegModel.new(n=n, hash_buckets=hash_buckets, hash_seed=hash_seed)
 
 
 def reference_hashed_features(text, feature_mode, n, hash_buckets, hash_seed):
@@ -297,6 +310,80 @@ def test_logit_matches_pair_loop_reference(text, feature_mode, n, hash_buckets, 
         got = model.logit(text)
     assert type(got) is float
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+BATCH_TEXT = FEATURE_TEXT | st.sampled_from(["", "?!. ...", "naïve café – ﬁne", "zz zz zz", "İstanbul ß"])
+
+
+def batch_scores_or_error(score_all):
+    """Scores as float.hex strings, or the NumericalError message."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return [s.hex() for s in score_all()]
+        except NumericalError as exc:
+            return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(BATCH_TEXT, max_size=12),
+    **{**FEATURE_LAYOUT, "hash_buckets": st.sampled_from([16, 2**18])},
+    weights=st.lists(st.floats(-4.0, 4.0) | st.sampled_from([-0.0, 1e308]), min_size=16, max_size=16),
+    bias=st.floats(-2.0, 2.0) | st.sampled_from([-0.0]),
+)
+@example(texts=[], feature_mode="word", n=1, hash_buckets=16, hash_seed=0, weights=[0.5] * 16, bias=0.0)
+@example(
+    texts=["", "?!", "zz qq", "zz qq", "naïve café", ""],
+    feature_mode="word",
+    n=3,
+    hash_buckets=16,
+    hash_seed=0,
+    weights=[float(i) - 7.5 for i in range(16)],
+    bias=-0.0,
+)
+@example(
+    texts=["ab", "ab ab", "ﬁ", "ab"],
+    feature_mode="char",
+    n=2,
+    hash_buckets=2**18,
+    hash_seed=1,
+    weights=[1e308] * 16,
+    bias=0.0,
+)
+def test_score_batch_matches_score(texts, feature_mode, n, hash_buckets, hash_seed, weights, bias):
+    # 16 buckets make texts of one chunk share buckets; the batch keys must
+    # still keep each text's counts apart.  Weights repeat every 16 buckets.
+    tiled = np.resize(np.array(weights), hash_buckets)
+    model = NGramLogRegModel(n, feature_mode, hash_buckets, tiled, bias, hash_seed)
+    expected = batch_scores_or_error(lambda: [model.score(t) for t in texts])
+    assert batch_scores_or_error(lambda: model.score_batch(texts)) == expected
+    assert batch_scores_or_error(lambda: score_batch(model, texts)) == expected
+
+
+@pytest.mark.parametrize("feature_mode, n", [("word", 2), ("char", 3)])
+def test_score_batch_spans_chunks(feature_mode, n):
+    # More texts than one chunk holds, with duplicates across the chunk seam.
+    rng = np.random.default_rng(5)
+    words = ["zz", "qq", "naïve", "x'y", "ok.", "ﬁn"]
+    unique = [" ".join(rng.choice(words, size=int(rng.integers(0, 9)))) for _ in range(detectors._SCORE_CHUNK + 40)]
+    texts = unique + unique[-60:]
+    model = NGramLogRegModel(n, feature_mode, 16, rng.normal(size=16), 0.25)
+    assert len(texts) > detectors._SCORE_CHUNK + 1
+    assert [s.hex() for s in model.score_batch(texts)] == [model.score(t).hex() for t in texts]
+
+
+def test_score_batch_raises_logits_error_for_first_bad_text():
+    bad = hashed_features("zz", "word", 1, 2**18, 0)[0][0]
+    assert bad not in hashed_features("ok fine", "word", 1, 2**18, 0)[0]
+    weights = np.zeros(2**18)
+    weights[bad] = math.inf
+    model = NGramLogRegModel(1, "word", 2**18, weights, 0.0)
+    texts = ["ok fine", "zz", "ok zz zz"]
+    with pytest.raises(NumericalError) as per_text:
+        model.logit("zz")
+    with pytest.raises(NumericalError) as batch:
+        model.score_batch(texts)
+    assert str(batch.value) == str(per_text.value) == "non-finite logit for text of length 2"
 
 
 def test_model_new_validation():
