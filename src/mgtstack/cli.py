@@ -538,7 +538,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits on --help and on usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     except CorpusFormatError as exc:
-        logger.error("corpus error: %s", exc)
         sys.stderr.write(f"mgtstack: corpus error: {exc}\n")
         return EXIT_DATA
     except (UnsupportedCombination, InvalidConfig) as exc:

@@ -260,7 +260,6 @@ class NGramLogRegModel:
         the same order, as ``logit``.  It bypasses the text-level cache,
         which held-out texts hardly ever hit.
         """
-        _check_hashing(self.feature_mode, self.n, self.hash_buckets, self.hash_seed)
         memo = _bucket_memo(self.hash_buckets, self.hash_seed)
         scores = []
         for start in range(0, len(texts), _SCORE_CHUNK):
@@ -323,17 +322,17 @@ def grad_update(
     eta = _real(eta, "learning rate")
     if not math.isfinite(eta) or eta < 0:
         raise InvalidConfig(f"learning rate must be finite and >= 0, got {eta!r}")
-    grad: dict[int, float] = {}  # only the touched indices of the dense gradient
-    grad_b = 0.0
+    resid, feats = [], []
     for text, y in batch:
-        resid = y - model.score(text)
-        idx, counts = model.features(text)
-        for i, cnt in zip(idx.tolist(), counts.tolist()):
-            grad[i] = grad.get(i, 0.0) + resid * cnt
-        grad_b += resid
-    touched = np.fromiter(grad, dtype=np.intp, count=len(grad))
-    grad_w = np.fromiter(grad.values(), dtype=np.float64, count=len(grad)) / len(batch)
-    grad_b /= len(batch)
+        resid.append(y - model.score(text))
+        feats.append(model.features(text))
+    idx, counts = (np.concatenate(a) for a in zip(*feats))
+    # Only the touched indices of the dense gradient; bincount adds each
+    # index's terms in batch order, as a dense sum does, so bits match it.
+    touched, slot = np.unique(idx, return_inverse=True)
+    terms = np.repeat(resid, [i.size for i, _ in feats]) * counts
+    grad_w = np.bincount(slot, terms, touched.size) / len(batch)
+    grad_b = _running_sum(resid) / len(batch)
     if not np.isfinite(grad_w).all():
         bad = int(touched[~np.isfinite(grad_w)].min())
         raise NumericalError(f"non-finite gradient at feature index {bad}")

@@ -9,7 +9,8 @@ abbreviation.
 
 Offsets are half-open ``[start, end)`` into the original string.  Spans never
 include the whitespace between sentences, so joining span texts loses only
-inter-sentence whitespace.
+inter-sentence whitespace.  A document's groups are half-open ``(lo, hi)``
+ranges of sentence indices, in the same convention.
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ class Document:
     abbreviation list given to :meth:`from_text` (the packaged one by
     default) and keeps the result, so a caller that reads only ``text``,
     such as the base detector's scoring, never splits.  A blank text raises
-    EmptyDocument at construction all the same.  Documents compare equal
-    when their ids, texts, labels and spans are; pickling keeps unread spans
-    unread.
+    EmptyDocument at construction, with or without spans, so every document
+    has at least one sentence.  Documents compare equal when their ids,
+    texts, labels and spans are; pickling keeps unread spans unread.
     """
 
     id: str
@@ -162,9 +163,9 @@ class Document:
             raise InvalidConfig(f"document id and text must be strings, got {kinds}")
         if self.label is not None and (type(self.label) is not int or self.label not in (0, 1)):
             raise InvalidConfig(f"label must be 0, 1 or None, got {self.label!r}")
+        if not self.text or self.text.isspace():
+            raise EmptyDocument("text contains no sentences")
         if sentences is None:
-            if not self.text or self.text.isspace():
-                raise EmptyDocument("text contains no sentences")
             return
         cursor = 0
         for i, (start, end) in enumerate(sentences):
@@ -223,30 +224,15 @@ class Document:
 del Document.sentences
 
 
-@dataclass(frozen=True)
-class SubsequenceSet:
-    """Contiguous sentence groups of a document, each holding at most k sentences.
+def group_subsequences(doc: Document, k: int) -> tuple[tuple[int, int], ...]:
+    """Greedy left-to-right grouping into ceil(n_sentences / k) groups.
 
-    ``groups`` are half-open ranges over sentence indices; their union covers
-    every sentence exactly once, in order.
+    Each group is a half-open ``(lo, hi)`` range of sentence indices holding
+    at most k sentences; the ranges cover every sentence once, in order.
     """
-
-    doc_id: str
-    k: int
-    groups: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-
-def group_subsequences(doc: Document, k: int) -> SubsequenceSet:
-    """Greedy left-to-right grouping into ceil(n_sentences / k) groups."""
     _check_int(k, "group size k")
     n = doc.n_sentences
-    if n == 0:
-        raise EmptyDocument(f"document {doc.id!r} has no sentences")
-    groups = tuple((i, min(i + k, n)) for i in range(0, n, k))
-    return SubsequenceSet(doc_id=doc.id, k=k, groups=groups)
+    return tuple((i, min(i + k, n)) for i in range(0, n, k))
 
 
 def group_text(doc: Document, group: tuple[int, int]) -> str:
@@ -255,21 +241,19 @@ def group_text(doc: Document, group: tuple[int, int]) -> str:
     return doc.text[doc.sentences[lo].start : doc.sentences[hi - 1].end]
 
 
-def group_texts(doc: Document, subseq: SubsequenceSet) -> list[str]:
-    return [group_text(doc, g) for g in subseq.groups]
+def group_texts(doc: Document, groups: Sequence[tuple[int, int]]) -> list[str]:
+    return [group_text(doc, g) for g in groups]
 
 
-def reconstruct(doc: Document, subseq: SubsequenceSet, mask: Sequence[int]) -> str:
+def reconstruct(doc: Document, groups: Sequence[tuple[int, int]], mask: Sequence[int]) -> str:
     """Concatenate the groups whose mask bit is 1, joined by single spaces.
 
     Raises EmptyRetention for an all-zero mask and InvalidConfig when the mask
     length does not match the group count.
     """
-    if len(mask) != len(subseq.groups):
-        raise InvalidConfig(
-            f"mask length {len(mask)} != group count {len(subseq.groups)}"
-        )
-    kept = [group_text(doc, g) for g, bit in zip(subseq.groups, mask) if bit]
+    if len(mask) != len(groups):
+        raise InvalidConfig(f"mask length {len(mask)} != group count {len(groups)}")
+    kept = [group_text(doc, g) for g, bit in zip(groups, mask) if bit]
     if not kept:
         raise EmptyRetention(f"mask retains nothing for document {doc.id!r}")
     return " ".join(kept)

@@ -375,14 +375,10 @@ def _remove_batch(
     u = rng.random((trials, n))
     drop = np.zeros((trials, n), dtype=bool)
     rows = np.arange(trials)[:, None]
-    if remove_h > 0:
-        uh = np.where(human_mask, u, np.inf)
-        order = np.argsort(uh, axis=1)
-        drop[rows, order[:, :remove_h]] = True
-    if remove_m > 0:
-        um = np.where(~human_mask, u, np.inf)
-        order = np.argsort(um, axis=1)
-        drop[rows, order[:, :remove_m]] = True
+    for pool, remove in ((human_mask, remove_h), (~human_mask, remove_m)):
+        if remove > 0:
+            order = np.argsort(np.where(pool, u, np.inf), axis=1)
+            drop[rows, order[:, :remove]] = True
     keep = ~drop
     n_eff = n - remove_h - remove_m
     kept_values = values[keep].reshape(trials, n_eff, *values.shape[2:])

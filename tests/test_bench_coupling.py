@@ -14,6 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from mgtstack import cli
+from mgtstack.corpus import save_corpus
+from mgtstack.detectors import hashed_features
+from mgtstack.synthdata import SynthSpec, synth_corpus
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -41,6 +46,25 @@ def test_traced_methods_resolve(perfbench):
 def test_hash_cache_counters_resolve():
     # perfbench/child.py reads hashed_features.cache_info() after every verb,
     # though the logreg batch path no longer goes through that cache.
-    from mgtstack.detectors import hashed_features
-
     assert callable(hashed_features.cache_info)
+
+
+def test_workload_command_lines_parse(perfbench, tmp_path):
+    # Every flag a workload passes, including detect's --seed and
+    # --training-free, must stay an option the CLI accepts.
+    workloads = perfbench["workloads"]
+    for name in workloads.SIZES:
+        (tmp_path / name).mkdir()
+        for verb in workloads.build(name, tmp_path / name, 3, tiny=True).verbs:
+            assert cli.build_parser().parse_args(verb.argv).verb == verb.argv[0], name
+
+
+def test_train_hits_the_text_cache(tmp_path):
+    # perfbench reports detectors.train.hash_hit_ratio and its self-test
+    # expects it above 0: the M-step must featurize through hashed_features.
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(str(corpus), synth_corpus(SynthSpec(n_docs=40, seed=11)))
+    before = hashed_features.cache_info().hits
+    argv = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"), "--epochs", "1", "--hash-buckets", "4096"]
+    assert cli.main(argv) == 0
+    assert hashed_features.cache_info().hits > before

@@ -361,6 +361,15 @@ def test_corrupt_corpus_is_data_error(capsys, model_path, tmp_path):
     assert "corpus error" in err and "line 2" in err
 
 
+def test_corpus_error_writes_one_stderr_line(capsys, model_path, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "text": "Ok."}\n{"id": "b"}\n', encoding="utf-8")
+    code, _, err = run(capsys, ["detect", "--corpus", str(path), "--model", model_path])
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mgtstack: corpus error: ") and "line 2" in err
+
+
 def test_non_int_label_is_data_error_naming_the_line(capsys, model_path, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "text": "Ok."}\n{"id": "b", "text": "Ok.", "label": true}\n', encoding="utf-8")

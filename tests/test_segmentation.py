@@ -207,10 +207,10 @@ def word_docs(draw):
 @given(word_docs(), st.integers(min_value=1, max_value=5))
 @settings(max_examples=200)
 def test_grouping_covers_every_sentence_once(doc, k):
-    subseq = group_subsequences(doc, k)
-    assert len(subseq) == math.ceil(doc.n_sentences / k)
+    groups = group_subsequences(doc, k)
+    assert len(groups) == math.ceil(doc.n_sentences / k)
     seen = []
-    for lo, hi in subseq.groups:
+    for lo, hi in groups:
         assert 1 <= hi - lo <= k
         seen.extend(range(lo, hi))
     assert seen == list(range(doc.n_sentences))
@@ -233,9 +233,7 @@ def test_reconstruct_all_ones_round_trips(doc, k):
 
 def test_group_shapes_seven_sentences_k3():
     doc = make_doc([f"Word {w}." for w in ("a", "b", "c", "d", "e", "f", "g")])
-    subseq = group_subsequences(doc, 3)
-    assert subseq.groups == ((0, 3), (3, 6), (6, 7))
-    assert subseq.k == 3 and subseq.doc_id == "d"
+    assert group_subsequences(doc, 3) == ((0, 3), (3, 6), (6, 7))
 
 
 def test_group_k1_is_per_sentence():
@@ -247,9 +245,9 @@ def test_group_k1_is_per_sentence():
 
 def test_group_k_larger_than_doc():
     doc = make_doc(["Aa zz.", "Bb qq."])
-    subseq = group_subsequences(doc, 10)
-    assert subseq.groups == ((0, 2),)
-    assert group_text(doc, subseq.groups[0]) == doc.text
+    groups = group_subsequences(doc, 10)
+    assert groups == ((0, 2),)
+    assert group_text(doc, groups[0]) == doc.text
 
 
 def test_group_invalid_k():
@@ -262,8 +260,8 @@ def test_group_invalid_k():
 def test_group_text_preserves_internal_whitespace():
     text = "First here.  Second there. Third now."
     doc = Document.from_text("d", text)
-    subseq = group_subsequences(doc, 2)
-    assert group_text(doc, subseq.groups[0]) == "First here.  Second there."
+    groups = group_subsequences(doc, 2)
+    assert group_text(doc, groups[0]) == "First here.  Second there."
 
 
 def test_reconstruct_drops_masked_groups():
@@ -313,6 +311,13 @@ def test_document_from_text_splits():
 def test_document_empty_raises():
     with pytest.raises(EmptyDocument):
         Document.from_text("d", "  ")
+
+
+@pytest.mark.parametrize("text", ["", "   "])
+def test_document_with_spans_rejects_blank_text(text):
+    # Hand-built spans do not bypass the blank-text rule of the lazy path.
+    with pytest.raises(EmptyDocument):
+        Document("d", text, sentences=())
 
 
 def test_document_accepts_hand_built_spans_over_all_words():
