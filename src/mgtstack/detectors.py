@@ -25,6 +25,7 @@ import re
 import subprocess
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -97,17 +98,16 @@ def tokenize(text: str) -> list[str]:
     text: punctuation separates, apostrophes bind.  Found with translate and
     split: a non-ASCII character left after casefolding is a break, so it
     becomes '?' and then a space."""
-    folded = text.casefold().encode("ascii", "replace").decode("ascii")
-    return folded.translate(_ASCII_BREAKS).split()
+    return _fold(text).split()
+
+
+def _fold(text: str) -> str:
+    # The casefolded text with every character that is not [a-z0-9'] a space.
+    return text.casefold().encode("ascii", "replace").decode("ascii").translate(_ASCII_BREAKS)
 
 
 # --------------------------------------------------------------------------
 # hashed n-gram features
-
-
-def _hash64(data: bytes, seed: int) -> int:
-    h = hashlib.blake2b(data, digest_size=8, person=seed.to_bytes(8, "little"))
-    return int.from_bytes(h.digest(), "little")
 
 
 def _check_hashing(feature_mode: str, n: int, hash_buckets: int, hash_seed: int) -> None:
@@ -131,16 +131,20 @@ class _BucketMemo(dict):
     """n-gram key -> bucket index for one hashing layout.
 
     The index is a pure function of the key, so the memo cannot change a
-    feature vector; it only spares ``_hash64`` for keys seen before.
+    feature vector; it only spares the hash for keys seen before.  A new key
+    is hashed by a copy of one keyed blake2b, which costs less than keying
+    a new one.
     """
 
     def __init__(self, hash_buckets: int, hash_seed: int) -> None:
         super().__init__()
         self.hash_buckets = hash_buckets
-        self.hash_seed = hash_seed
+        self.keyed = hashlib.blake2b(digest_size=8, person=hash_seed.to_bytes(8, "little"))
 
     def __missing__(self, key: str) -> int:
-        idx = _hash64(key.encode("utf-8"), self.hash_seed) % self.hash_buckets
+        h = self.keyed.copy()
+        h.update(key.encode("utf-8"))
+        idx = int.from_bytes(h.digest(), "little") % self.hash_buckets
         if len(self) < _BUCKET_MEMO_KEYS:
             self[key] = idx
         return idx
@@ -158,21 +162,39 @@ def hashed_features(
     ``np.intp`` arrays ``(idx, counts)``, idx strictly ascending.
     """
     _check_hashing(feature_mode, n, hash_buckets, hash_seed)
-    ids = _bucket_ids(text, feature_mode, n, _bucket_memo(hash_buckets, hash_seed))
+    ids = _bucket_ids(_units(text, feature_mode), feature_mode, n, _bucket_memo(hash_buckets, hash_seed))
     idx, counts = np.unique(np.array(ids, dtype=np.intp), return_counts=True)
     idx.flags.writeable = counts.flags.writeable = False
     return idx, counts
 
 
-def _bucket_ids(text: str, feature_mode: str, n: int, memo: _BucketMemo) -> list[int]:
-    """The bucket id of every n-gram of orders 1..n of ``text``, unsorted and
-    repeated; the one featurizer behind hashed_features and score_batch."""
-    if feature_mode == "word":
-        units: Sequence[str] = tokenize(text)
-        join = _NGRAM_SEP.join
+def _units(text: str, feature_mode: str) -> Sequence[str]:
+    """The casefolded word tokens (word mode) or characters (char mode) of a text."""
+    return tokenize(text) if feature_mode == "word" else text.casefold()
+
+
+def _piece_units(text: str, feature_mode: str, cuts: Sequence[int]) -> tuple[Sequence[str], list[int]]:
+    """``_units(text, feature_mode)``, and the unit bounds of the pieces that
+    ``cuts`` (offsets from 0 to ``len(text)``) cut the text into.  Units are
+    found character by character, so when every cut touches whitespace, the
+    pieces' own units, run together, are the text's."""
+    word = feature_mode == "word"
+    folded = _fold(text) if word else text.casefold()
+    if len(folded) == len(text):  # every character folds to one, so the cuts hold
+        parts = [folded[a:b] for a, b in zip(cuts, cuts[1:])]
+        if word:
+            parts = [part.split() for part in parts]
     else:
-        units = text.casefold()
-        join = "".join
+        parts = [_units(text[a:b], feature_mode) for a, b in zip(cuts, cuts[1:])]
+    units = list(chain.from_iterable(parts)) if word else folded
+    return units, list(accumulate(map(len, parts), initial=0))
+
+
+def _bucket_ids(units: Sequence[str], feature_mode: str, n: int, memo: _BucketMemo) -> list[int]:
+    """The bucket id of every n-gram of orders 1..n of ``units``, unsorted and
+    repeated, order by order and then by first unit; the one featurizer of
+    the logistic model."""
+    join = _NGRAM_SEP.join if feature_mode == "word" else "".join
     bucket = memo.__getitem__
     ids = list(map(bucket, units))
     for order in range(2, n + 1):
@@ -180,23 +202,50 @@ def _bucket_ids(text: str, feature_mode: str, n: int, memo: _BucketMemo) -> list
     return ids
 
 
+def _piece_ids(ids: list[int], bounds: list[int], n: int, piece: int) -> list[int]:
+    """Of the ``_bucket_ids`` of a cut text's units, the ids of the n-grams
+    inside piece number ``piece``: as a multiset, that piece's own ids."""
+    lo, hi = bounds[piece], bounds[piece + 1]
+    out: list[int] = []
+    start = 0
+    for order in range(1, n + 1):
+        out += ids[start + lo : start + max(lo, hi - order + 1)]
+        start += max(bounds[-1] - order + 1, 0)
+    return out
+
+
+def _count_ids(ids: list[int], sizes: Sequence[int], hash_buckets: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each text's distinct bucket ids, ascending, and their counts, for texts
+    whose ids run back to back in ``ids`` (``sizes[i]`` of them for text i),
+    with one ``np.unique``; text i owns ``[bounds[i], bounds[i + 1])``.
+
+    Each text's ids are offset by its position times ``hash_buckets``, so the
+    sorted unique keys run text by text, and within a text by bucket index.
+    """
+    offsets = np.repeat(np.arange(len(sizes), dtype=np.intp) * hash_buckets, sizes)
+    keys, counts = np.unique(np.array(ids, dtype=np.intp) + offsets, return_counts=True)
+    position, idx = np.divmod(keys, hash_buckets)
+    return idx, counts, np.searchsorted(position, np.arange(len(sizes) + 1)).tolist()
+
+
 # --------------------------------------------------------------------------
 # trainable logistic-regression detector
 
 
-# Texts per np.unique in NGramLogRegModel.score_batch: one call per chunk
-# keeps the fixed numpy cost off each short group text, and the bound keeps
-# the chunk's key arrays small.
+# Texts per np.unique in NGramLogRegModel.score_batch, and about the groups
+# per chunk of documents in stacked scoring: one call per chunk keeps the
+# fixed numpy cost off each short group text, and the bound keeps the chunk's
+# key arrays small.
 _SCORE_CHUNK = 512
 
 
-def _checked_logit(bias: float, terms: Iterable[float], text: str) -> float:
+def _checked_logit(bias: float, terms: Iterable[float], length: int) -> float:
     """bias + terms, added in index order (not np.sum/np.dot, whose order
-    differs), for the one text the terms belong to; a non-finite result is a
-    NumericalError."""
+    differs), for the one text the terms belong to, of ``length`` characters;
+    a non-finite result is a NumericalError."""
     z = _running_sum(terms, bias)
     if not math.isfinite(z):
-        raise NumericalError(f"non-finite logit for text of length {len(text)}")
+        raise NumericalError(f"non-finite logit for text of length {length}")
     return z
 
 
@@ -245,38 +294,40 @@ class NGramLogRegModel:
 
     def logit(self, text: str) -> float:
         idx, counts = self.features(text)
-        return _checked_logit(self.bias, (self.weights[idx] * counts).tolist(), text)
+        return _checked_logit(self.bias, (self.weights[idx] * counts).tolist(), len(text))
 
     def score(self, text: str) -> float:
         return sigmoid(self.logit(text))
 
+    def _ids(self, units: Sequence[str]) -> list[int]:
+        return _bucket_ids(units, self.feature_mode, self.n, _bucket_memo(self.hash_buckets, self.hash_seed))
+
+    def _logits(self, idx: np.ndarray, counts: np.ndarray, bounds: list[int], lengths: Sequence[int]) -> list[float]:
+        """The logits of a run of texts of a ``_count_ids`` block, text i of
+        ``lengths[i]`` characters owning ``bounds[i]:bounds[i + 1]``: the same
+        products, added in the same order, as ``logit``."""
+        start, stop = bounds[0], bounds[-1]
+        terms = (self.weights[idx[start:stop]] * counts[start:stop]).tolist()
+        texts = zip(bounds, bounds[1:], lengths)
+        return [_checked_logit(self.bias, terms[a - start : b - start], n) for a, b, n in texts]
+
     def score_batch(self, texts: Sequence[str]) -> list[float]:
         """``[self.score(t) for t in texts]``, bit for bit, with one
-        ``np.unique`` per chunk of texts rather than one per text.
-
-        Each text's bucket ids are offset by its position in the chunk times
-        ``hash_buckets``, so the sorted unique keys of a chunk run text by
-        text, and within a text by bucket index: the same products, added in
-        the same order, as ``logit``.  It bypasses the text-level cache,
-        which held-out texts hardly ever hit.
+        ``np.unique`` per chunk of texts rather than one per text.  It
+        bypasses the text-level cache, which held-out texts hardly ever hit.
         """
         memo = _bucket_memo(self.hash_buckets, self.hash_seed)
-        scores = []
+        scores: list[float] = []
         for start in range(0, len(texts), _SCORE_CHUNK):
             chunk = texts[start : start + _SCORE_CHUNK]
             ids: list[int] = []
             sizes = []
             for text in chunk:
-                text_ids = _bucket_ids(text, self.feature_mode, self.n, memo)
-                ids.extend(text_ids)
+                text_ids = _bucket_ids(_units(text, self.feature_mode), self.feature_mode, self.n, memo)
+                ids += text_ids
                 sizes.append(len(text_ids))
-            offsets = np.repeat(np.arange(len(chunk), dtype=np.intp) * self.hash_buckets, sizes)
-            keys, counts = np.unique(np.array(ids, dtype=np.intp) + offsets, return_counts=True)
-            position, idx = np.divmod(keys, self.hash_buckets)
-            bounds = np.searchsorted(position, np.arange(len(chunk) + 1)).tolist()
-            terms = (self.weights[idx] * counts).tolist()
-            for i, text in enumerate(chunk):
-                scores.append(sigmoid(_checked_logit(self.bias, terms[bounds[i] : bounds[i + 1]], text)))
+            block = _count_ids(ids, sizes, self.hash_buckets)
+            scores += map(sigmoid, self._logits(*block, [len(text) for text in chunk]))
         return scores
 
 

@@ -6,25 +6,29 @@ applies the constrained retention rule to those scores; pass 2 scores the
 retained text.  The latent retention mask is never read from labels, only
 from first-pass scores.  A document with a zero budget skips pass 1 and is
 scored as its own text, so with tau = 0 the wrapper collapses exactly onto
-the base detector.  There are two routes:
+the base detector.  There are three routes:
 
 * A base with a ``score_two_pass(group_texts, cfg)`` method (the n-gram LM)
   runs both passes itself, one document at a time: it scores each group
   once and builds the retained text's score from the kept groups' cached
   terms, bit for bit equal to scoring the reconstructed text.
+* An :class:`NGramLogRegModel` base featurizes each document once, in
+  chunks of about ``_SCORE_CHUNK`` groups: a group's n-grams are those of
+  the document inside it, and a document that keeps every group is scored
+  from all of them.  Only one that drops a group featurizes its retained
+  text.  Each pass counts a chunk with one ``np.unique``, and every score
+  equals the base's ``score`` of that text, bit for bit.
 * Every other base takes two batches: all groups of all documents in one
-  ``score_batch`` call, then all retained texts in one more.  A document
-  whose mask keeps every group is rescored as its own text, so degeneration
-  is exact for any base detector.  A base with its own ``score_batch`` gets
-  the whole list: the logistic detector counts the features of 512 texts
-  with one ``np.unique``, an adapter sends them to one process launch.
-  Either way each score equals the base's ``score`` of that text.
+  ``score_batch`` call, then all retained texts in one more, so an adapter
+  is launched once per pass.  A document whose mask keeps every group is
+  rescored as its own text, so degeneration is exact for any base detector.
 
 Training alternates a hard E-step (pass 1 over the current batch with the
 current parameters) with a single gradient-ascent M-step on the retained
-texts, masks held constant.  With tau = 0 nothing can be filtered and the
-parameter trajectory is bitwise identical to plain training under the same
-seed.
+texts, masks held constant.  Each training document is featurized for the
+E-step once per run, and every E-step scores its groups from that store.
+With tau = 0 nothing can be filtered and the parameter trajectory is bitwise
+identical to plain training under the same seed.
 """
 
 from __future__ import annotations
@@ -35,13 +39,21 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
 
+import numpy as np
+
 from .detectors import (
+    _SCORE_CHUNK,
     Detector,
     NGramLogRegModel,
     TrainConfig,
+    _count_ids,
+    _piece_ids,
+    _piece_units,
+    _units,
     bin_log_likelihood,
     grad_update,
     score_batch,
+    sigmoid,
 )
 from .errors import DegenerateDataset, InvalidConfig
 from .retention import FilterConfig, RetentionMask, compute_mask
@@ -56,6 +68,21 @@ class StackedResult:
     mask: RetentionMask
 
 
+def _retain(
+    doc: Document, groups: Sequence[tuple[int, int]], scores: list[float] | None, cfg: FilterConfig
+) -> tuple[str, RetentionMask]:
+    """A document's retained text and mask, from its group scores, or from
+    None when its budget is zero."""
+    if scores is None:
+        # Nothing may be dropped, so the document skips pass 1 and pass 2
+        # sees it untouched: the wrapper reduces to the base detector.
+        return doc.text, RetentionMask((1,) * len(groups))
+    mask = compute_mask(scores, cfg)
+    # A kept-everything mask means the retained text IS the document;
+    # use the original so degeneration is exact for any base detector.
+    return (doc.text if all(mask) else reconstruct(doc, groups, mask)), mask
+
+
 def first_pass(
     base: Detector, docs: Sequence[Document], cfg: FilterConfig
 ) -> list[tuple[str, RetentionMask]]:
@@ -64,34 +91,23 @@ def first_pass(
     Label-agnostic by construction; this is the hard-EM E-step and the
     first batch of the two-batch inference route.
     """
-    subseqs = [group_subsequences(doc, cfg.k) for doc in docs]
-    filtering = [cfg.budget(len(subseq)) > 0 for subseq in subseqs]
-    texts = [
-        text
-        for doc, subseq, on in zip(docs, subseqs, filtering)
-        if on
-        for text in group_texts(doc, subseq)
-    ]
+    groups = [group_subsequences(doc, cfg.k) for doc in docs]
+    filtering = [cfg.budget(len(g)) > 0 for g in groups]
+    texts = [text for doc, g, on in zip(docs, groups, filtering) if on for text in group_texts(doc, g)]
     scores = iter(score_batch(base, texts))
-    out = []
-    for doc, subseq, on in zip(docs, subseqs, filtering):
-        if not on:
-            # Nothing may be dropped, so the document skips pass 1 and pass 2
-            # sees it untouched: the wrapper reduces to the base detector.
-            out.append((doc.text, RetentionMask((1,) * len(subseq))))
-            continue
-        mask = compute_mask(list(islice(scores, len(subseq))), cfg)
-        # A kept-everything mask means the retained text IS the document;
-        # use the original so degeneration is exact for any base detector.
-        out.append((doc.text if all(mask) else reconstruct(doc, subseq, mask), mask))
-    return out
+    return [
+        _retain(doc, g, list(islice(scores, len(g))) if on else None, cfg)
+        for doc, g, on in zip(docs, groups, filtering)
+    ]
 
 
 def score_corpus(
     base: Detector, docs: Sequence[Document], cfg: FilterConfig
 ) -> list[StackedResult]:
     """Two-pass stacked scores for a corpus, one result per document, in order."""
-    if getattr(base, "score_two_pass", None) is None:
+    if type(base) is NGramLogRegModel:  # a subclass may score otherwise
+        scored = _score_logreg(base, docs, cfg)
+    elif getattr(base, "score_two_pass", None) is None:
         first = first_pass(base, docs, cfg)
         scored = zip(score_batch(base, [text for text, _ in first]), (mask for _, mask in first))
     else:
@@ -105,6 +121,63 @@ def _score_once(base, doc: Document, cfg: FilterConfig) -> tuple[float, Retentio
     if cfg.budget(len(subseq)) == 0:
         return base.score(doc.text), RetentionMask((1,) * len(subseq))
     return base.score_two_pass(group_texts(doc, subseq), cfg)
+
+
+def _featurized_chunks(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterConfig):
+    """Each document featurized once, in chunks of about ``_SCORE_CHUNK`` groups.
+
+    A document's text is cut into pieces, gap, group, gap, ..., group, gap,
+    whose cuts all touch whitespace, so a group's bucket ids are the n-grams
+    inside its piece.  Yields, per chunk, a ``(doc, groups, ids)`` row per
+    document, ids being the whole text's, and the ``_count_ids`` block of
+    the groups of every document with a non-zero budget, with their lengths.
+    """
+    rows, ids, sizes, lengths, n_groups = [], [], [], [], 0
+    for i, doc in enumerate(docs, 1):
+        groups = group_subsequences(doc, cfg.k)
+        spans = doc.sentences
+        cuts = [0]
+        for lo, hi in groups:
+            cuts += spans[lo].start, spans[hi - 1].end
+        cuts.append(len(doc.text))
+        units, bounds = _piece_units(doc.text, model.feature_mode, cuts)
+        doc_ids = model._ids(units)
+        if cfg.budget(len(groups)):
+            for piece in range(1, 2 * len(groups), 2):
+                group_ids = _piece_ids(doc_ids, bounds, model.n, piece)
+                ids += group_ids
+                sizes.append(len(group_ids))
+                lengths.append(cuts[piece + 1] - cuts[piece])
+        rows.append((doc, groups, doc_ids))
+        n_groups += len(groups)
+        if n_groups >= _SCORE_CHUNK or i == len(docs):
+            yield rows, (*_count_ids(ids, sizes, model.hash_buckets), lengths)
+            rows, ids, sizes, lengths, n_groups = [], [], [], [], 0
+
+
+def _score_logreg(
+    model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterConfig
+) -> list[tuple[float, RetentionMask]]:
+    """Both passes for a logistic base, one ``np.unique`` per pass and chunk.
+
+    A document that keeps every group is scored from its pass-1 ids; only
+    one that drops a group featurizes its retained text.
+    """
+    out: list[tuple[float, RetentionMask]] = []
+    for rows, block in _featurized_chunks(model, docs, cfg):
+        scores = iter(map(sigmoid, model._logits(*block)))
+        ids, sizes, lengths, masks = [], [], [], []
+        for doc, groups, doc_ids in rows:
+            on = cfg.budget(len(groups)) > 0
+            text, mask = _retain(doc, groups, list(islice(scores, len(groups))) if on else None, cfg)
+            if not all(mask):
+                doc_ids = model._ids(_units(text, model.feature_mode))
+            ids += doc_ids
+            sizes.append(len(doc_ids))
+            lengths.append(len(text))
+            masks.append(mask)
+        out += zip(map(sigmoid, model._logits(*_count_ids(ids, sizes, model.hash_buckets), lengths)), masks)
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,6 +242,24 @@ def _epoch_batches(
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
+def _estep_store(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterConfig) -> tuple:
+    """Every document's pass-1 block, featurized once per training run, since
+    hashed features never depend on the weights.  Returns one ``_count_ids``
+    block of all their groups, as arrays (idx and counts as uint32: a count
+    of 2**32 would need a group of 4 G units), and ``first``: document i owns
+    groups ``first[i]`` to ``first[i + 1]``, none when its budget is zero."""
+    idx, counts, bounds, lengths, n_groups = [], [], [0], [], [0]
+    for rows, (chunk_idx, chunk_counts, chunk_bounds, chunk_lengths) in _featurized_chunks(model, docs, cfg):
+        idx.append(chunk_idx.astype(np.uint32))
+        counts.append(chunk_counts.astype(np.uint32))
+        start = bounds.pop()
+        bounds += (start + b for b in chunk_bounds)
+        lengths += chunk_lengths
+        n_groups += (len(groups) if cfg.budget(len(groups)) else 0 for _, groups, _ in rows)
+    block = (np.concatenate(idx), np.concatenate(counts), np.array(bounds), np.array(lengths))
+    return block, np.cumsum(n_groups)
+
+
 def train_hard_em(
     base: NGramLogRegModel, data: Sequence[LabeledDoc], tc: TrainConfig
 ) -> tuple[NGramLogRegModel, TrainTrace]:
@@ -177,12 +268,15 @@ def train_hard_em(
     Per batch: masks are recomputed with the current parameters (E-step,
     labels unseen), then one ascent step is taken on the mean log-likelihood
     of the retained texts (M-step, masks constant).  Returns the final model
-    and a per-epoch trace of the objective and realized filtering rate.
+    and a per-epoch trace of the objective and realized filtering rate.  The
+    E-step gathers the current weights over each document's stored pass-1
+    block: the same scores as :func:`first_pass`, bit for bit.
     """
     _check_training_data(base, data)
     cfg = tc.filter_config()
     rng = random.Random(tc.seed)
     model = base
+    (idx, counts, bounds, lengths), first = _estep_store(model, [doc for doc, _ in data], cfg)
     records: list[EpochRecord] = []
     for epoch in range(tc.epochs):
         started = time.perf_counter()
@@ -191,10 +285,17 @@ def train_hard_em(
         filtered = 0
         groups_total = 0
         for batch_idx in _epoch_batches(len(data), tc.batch_size, rng):
-            first = first_pass(model, [data[i][0] for i in batch_idx], cfg)
-            masked = [(text, data[i][1]) for (text, _), i in zip(first, batch_idx)]
-            filtered += sum(mask.n_filtered for _, mask in first)
-            groups_total += sum(len(mask) for _, mask in first)
+            masked = []
+            for i in batch_idx:
+                p, q = first[i], first[i + 1]
+                scores = None
+                if p < q:
+                    logits = model._logits(idx, counts, bounds[p : q + 1].tolist(), lengths[p:q].tolist())
+                    scores = list(map(sigmoid, logits))
+                text, mask = _retain(data[i][0], group_subsequences(data[i][0], cfg.k), scores, cfg)
+                masked.append((text, data[i][1]))
+                filtered += mask.n_filtered
+                groups_total += len(mask)
             q_sum += bin_log_likelihood(model, masked)
             n_batches += 1
             model = grad_update(model, masked, tc.lr)

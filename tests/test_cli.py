@@ -38,7 +38,7 @@ from mgtstack import (
     split_dataset,
     synth_corpus,
 )
-from mgtstack import cli, segmentation, theory
+from mgtstack import cli, detectors, segmentation, theory
 from mgtstack.cli import main
 
 
@@ -617,16 +617,30 @@ def launches(log) -> list[list[str]]:
     return [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
 
 
+@pytest.fixture(scope="module")
+def chunked_corpus_path(tmp_path_factory):
+    """200 documents whose groups at --k 1 outnumber a logistic scoring chunk."""
+    docs = synth_corpus(SynthSpec(n_docs=200, seed=12, sentences_per_doc=(6, 8)))
+    assert sum(doc.n_sentences for doc in docs) > detectors._SCORE_CHUNK
+    path = tmp_path_factory.mktemp("chunked") / "corpus.jsonl"
+    save_corpus(str(path), docs)
+    return str(path)
+
+
 @pytest.mark.parametrize("tau, expected", [("0.5", 2), ("0.0", 1)])
-def test_detect_launches_adapter_once_per_pass(capsys, corpus_path, recorder, tau, expected):
+def test_detect_launches_adapter_once_per_pass(capsys, corpus_path, chunked_corpus_path, recorder, tau, expected):
+    # Chunking the corpus by documents is the logistic route's alone: an
+    # adapter gets every group in one launch, however many there are.
     command, log = recorder
-    code, out, _ = run(
-        capsys,
-        ["detect", "--corpus", corpus_path, "--adapter", command, "--tau", tau, "--k", "1"],
-    )
-    assert code == 0
-    assert len(out.splitlines()) == 40
-    assert len(launches(log)) == expected
+    for path, n_docs in ((corpus_path, 40), (chunked_corpus_path, 200)):
+        code, out, _ = run(
+            capsys,
+            ["detect", "--corpus", path, "--adapter", command, "--tau", tau, "--k", "1"],
+        )
+        assert code == 0
+        assert len(out.splitlines()) == n_docs
+        assert len(launches(log)) == expected
+        log.unlink()
 
 
 def test_negative_adapter_timeout_never_launches(capsys, corpus_path, recorder):

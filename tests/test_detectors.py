@@ -226,6 +226,20 @@ def test_bucket_memo_bound_changes_nothing(monkeypatch, fresh_bucket_memos):
     assert len(detectors._bucket_memo(7, 0)) == 3
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    keys=st.lists(st.text(max_size=12), min_size=1, max_size=8),
+    hash_buckets=st.integers(1, 2**32 - 1),
+    hash_seed=st.integers(0, 2**64 - 1),
+)
+def test_bucket_memo_matches_reference_hash(keys, hash_buckets, hash_seed):
+    # A new key is hashed by a copy of the memo's keyed blake2b, a repeated
+    # one is looked up: both give the reference bucket.
+    memo = detectors._BucketMemo(hash_buckets, hash_seed)
+    for key in keys * 2:
+        assert memo[key] == ref_hash64(key.encode("utf-8"), hash_seed) % hash_buckets
+
+
 def test_hashed_features_cache_counts_hits_and_misses():
     # perfbench/child.py reads these counters after every verb.
     text = "a text no other test hashes: qzx vvk"

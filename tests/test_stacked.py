@@ -37,6 +37,7 @@ from mgtstack import (
 from mgtstack.detectors import _BOS
 from mgtstack.retention import compute_mask
 from mgtstack.segmentation import group_subsequences, group_texts, reconstruct
+from mgtstack import stacked
 from mgtstack.stacked import first_pass
 
 from conftest import MapDetector, make_doc
@@ -367,6 +368,51 @@ def test_lm_score_once_on_hand_built_spans(n):
     assert score_corpus(base, [doc], FilterConfig(r_e=0.0, tau=0.5, k=1))[0].score == base.score(text)
 
 
+# Gaps a Document may hold between its sentences and around them: char-mode
+# n-grams read them, word mode breaks at each.
+GAPS = [" ", "  ", "\n\n", "\t", "\u00a0", "\u2003"]
+
+
+@st.composite
+def gapped_docs(draw):
+    sentences = draw(st.lists(hyp_sentences, min_size=1, max_size=8))
+    text = draw(st.sampled_from(["", *GAPS]))
+    spans = []
+    for i, sentence in enumerate(sentences):
+        if i:
+            text += draw(st.sampled_from(GAPS))
+        spans.append(Span(len(text), len(text) + len(sentence)))
+        text += sentence
+    text += draw(st.sampled_from(["", *GAPS]))
+    return Document("g", text, sentences=tuple(spans))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.lists(gapped_docs(), min_size=1, max_size=4),
+    feature_mode=st.sampled_from(["word", "char"]),
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+    weight_seed=st.integers(0, 2**32 - 1),
+    r_e=st.sampled_from([0.01, 0.3, 0.49]),
+    tau=st.sampled_from([0.0, 0.5, 0.75]),
+    chunk=st.sampled_from([1, 3, 512]),
+)
+def test_logreg_score_corpus_matches_reference_bit_for_bit(docs, feature_mode, n, k, weight_seed, r_e, tau, chunk):
+    # The logistic route featurizes each document once and takes its groups'
+    # n-grams out of the document's.  Chunks of 1 or 3 groups make a corpus
+    # span several chunks.
+    weights = np.random.default_rng(weight_seed).normal(0.0, 1.5, 16)
+    model = NGramLogRegModel(n, feature_mode, 16, weights, 0.0)
+    cfg = FilterConfig(r_e=r_e, tau=tau, k=k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stacked, "_SCORE_CHUNK", chunk)
+        results = score_corpus(model, docs, cfg)
+    got = [(r.score.hex(), r.n_groups, r.n_filtered, r.mask.bits) for r in results]
+    expected = [(score.hex(), *rest) for score, *rest in (reference_result(model, d, cfg) for d in docs)]
+    assert got == expected
+
+
 # --------------------------------------------------------------------------
 # training
 
@@ -466,3 +512,39 @@ def test_training_is_seed_deterministic():
     m1, _ = train_hard_em(base, data, tc)
     m2, _ = train_hard_em(base, data, tc)
     assert np.array_equal(m1.weights, m2.weights) and m1.bias == m2.bias
+
+
+def reference_hard_em(base, data, tc):
+    """Hard EM written out step by step, with first_pass as its E-step."""
+    cfg, rng, model = tc.filter_config(), random.Random(tc.seed), base
+    trace = []
+    for epoch in range(tc.epochs):
+        order = list(range(len(data)))
+        rng.shuffle(order)
+        q_sum, n_batches, filtered, total = 0.0, 0, 0, 0
+        for start in range(0, len(order), tc.batch_size):
+            batch = order[start : start + tc.batch_size]
+            first = first_pass(model, [data[i][0] for i in batch], cfg)
+            masked = [(text, data[i][1]) for (text, _), i in zip(first, batch)]
+            filtered += sum(mask.n_filtered for _, mask in first)
+            total += sum(len(mask) for _, mask in first)
+            q_sum += bin_log_likelihood(model, masked)
+            n_batches += 1
+            model = grad_update(model, masked, tc.lr)
+        trace.append((epoch, (q_sum / n_batches).hex(), (filtered / total).hex()))
+    return model, trace
+
+
+@pytest.mark.parametrize("feature_mode, n, lr", [("word", 2, 1.0), ("char", 3, 0.01)])
+def test_hard_em_matches_first_pass_reference(feature_mode, n, lr):
+    # The E-step scores each document's stored pass-1 block with the current
+    # weights; the trajectory must be the one first_pass gives, bit for bit.
+    data = small_corpus(n_docs=60, seed=2)
+    base = NGramLogRegModel.new(n=n, feature_mode=feature_mode, hash_buckets=4096)
+    tc = TrainConfig(epochs=3, lr=lr, batch_size=16, seed=1, r_e=0.2, tau=0.4, k=1)
+    model, trace = train_hard_em(base, data, tc)
+    ref_model, ref_trace = reference_hard_em(base, data, tc)
+    assert model.weights.tobytes() == ref_model.weights.tobytes()
+    assert model.bias.hex() == ref_model.bias.hex()
+    assert [(r.epoch, r.mean_q.hex(), r.filtered_fraction.hex()) for r in trace.epochs] == ref_trace
+    assert trace.epochs[-1].filtered_fraction > 0.0
