@@ -232,10 +232,10 @@ def _count_ids(ids: list[int], sizes: Sequence[int], hash_buckets: int) -> tuple
 # trainable logistic-regression detector
 
 
-# Texts per np.unique in NGramLogRegModel.score_batch, and about the groups
-# per chunk of documents in stacked scoring: one call per chunk keeps the
-# fixed numpy cost off each short group text, and the bound keeps the chunk's
-# key arrays small.
+# Texts per np.unique in NGramLogRegModel.score_batch, and about the most
+# either pass of the logistic stacked route counts per chunk of documents:
+# one call per chunk keeps the fixed numpy cost off each short group text,
+# and the bound keeps the chunk's key arrays small.
 _SCORE_CHUNK = 512
 
 

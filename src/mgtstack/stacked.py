@@ -12,12 +12,13 @@ the base detector.  There are three routes:
   runs both passes itself, one document at a time: it scores each group
   once and builds the retained text's score from the kept groups' cached
   terms, bit for bit equal to scoring the reconstructed text.
-* An :class:`NGramLogRegModel` base featurizes each document once, in
-  chunks of about ``_SCORE_CHUNK`` groups: a group's n-grams are those of
-  the document inside it, and a document that keeps every group is scored
-  from all of them.  Only one that drops a group featurizes its retained
-  text.  Each pass counts a chunk with one ``np.unique``, and every score
-  equals the base's ``score`` of that text, bit for bit.
+* An :class:`NGramLogRegModel` base featurizes each document once: a
+  group's n-grams are those of the document inside it, and a document that
+  keeps every group is scored from all of them.  Only one that drops a
+  group, or has a zero budget, featurizes its retained text.  Each pass
+  counts a chunk of at most about ``_SCORE_CHUNK`` texts with one
+  ``np.unique``, and every score equals the base's ``score`` of that text,
+  bit for bit.
 * Every other base takes two batches: all groups of all documents in one
   ``score_batch`` call, then all retained texts in one more, so an adapter
   is launched once per pass.  A document whose mask keeps every group is
@@ -124,35 +125,38 @@ def _score_once(base, doc: Document, cfg: FilterConfig) -> tuple[float, Retentio
 
 
 def _featurized_chunks(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterConfig):
-    """Each document featurized once, in chunks of about ``_SCORE_CHUNK`` groups.
+    """Pass-1 features for a logistic base, in chunks that give neither pass
+    more than about ``_SCORE_CHUNK`` texts to count.
 
-    A document's text is cut into pieces, gap, group, gap, ..., group, gap,
-    whose cuts all touch whitespace, so a group's bucket ids are the n-grams
-    inside its piece.  Yields, per chunk, a ``(doc, groups, ids)`` row per
-    document, ids being the whole text's, and the ``_count_ids`` block of
-    the groups of every document with a non-zero budget, with their lengths.
+    A document with a non-zero budget is featurized once: its text is cut
+    into pieces, gap, group, gap, ..., group, gap, whose cuts all touch
+    whitespace, so a group's bucket ids are the n-grams inside its piece.
+    Yields, per chunk, a ``(doc, groups, ids)`` row per document, ids being
+    the whole text's (None for a zero budget), and the ``_count_ids`` block
+    of the groups of every document with a non-zero budget, with their
+    lengths.
     """
-    rows, ids, sizes, lengths, n_groups = [], [], [], [], 0
+    rows, ids, sizes, lengths = [], [], [], []
     for i, doc in enumerate(docs, 1):
         groups = group_subsequences(doc, cfg.k)
-        spans = doc.sentences
-        cuts = [0]
-        for lo, hi in groups:
-            cuts += spans[lo].start, spans[hi - 1].end
-        cuts.append(len(doc.text))
-        units, bounds = _piece_units(doc.text, model.feature_mode, cuts)
-        doc_ids = model._ids(units)
+        doc_ids = None
         if cfg.budget(len(groups)):
+            spans = doc.sentences
+            cuts = [0]
+            for lo, hi in groups:
+                cuts += spans[lo].start, spans[hi - 1].end
+            cuts.append(len(doc.text))
+            units, bounds = _piece_units(doc.text, model.feature_mode, cuts)
+            doc_ids = model._ids(units)
             for piece in range(1, 2 * len(groups), 2):
                 group_ids = _piece_ids(doc_ids, bounds, model.n, piece)
                 ids += group_ids
                 sizes.append(len(group_ids))
                 lengths.append(cuts[piece + 1] - cuts[piece])
         rows.append((doc, groups, doc_ids))
-        n_groups += len(groups)
-        if n_groups >= _SCORE_CHUNK or i == len(docs):
+        if max(len(sizes), len(rows)) >= _SCORE_CHUNK or i == len(docs):
             yield rows, (*_count_ids(ids, sizes, model.hash_buckets), lengths)
-            rows, ids, sizes, lengths, n_groups = [], [], [], [], 0
+            rows, ids, sizes, lengths = [], [], [], []
 
 
 def _score_logreg(
@@ -160,17 +164,16 @@ def _score_logreg(
 ) -> list[tuple[float, RetentionMask]]:
     """Both passes for a logistic base, one ``np.unique`` per pass and chunk.
 
-    A document that keeps every group is scored from its pass-1 ids; only
-    one that drops a group featurizes its retained text.
+    A document that keeps every group is scored from its pass-1 ids; one
+    that drops a group, or has a zero budget, featurizes its retained text.
     """
     out: list[tuple[float, RetentionMask]] = []
     for rows, block in _featurized_chunks(model, docs, cfg):
         scores = iter(map(sigmoid, model._logits(*block)))
         ids, sizes, lengths, masks = [], [], [], []
         for doc, groups, doc_ids in rows:
-            on = cfg.budget(len(groups)) > 0
-            text, mask = _retain(doc, groups, list(islice(scores, len(groups))) if on else None, cfg)
-            if not all(mask):
+            text, mask = _retain(doc, groups, None if doc_ids is None else list(islice(scores, len(groups))), cfg)
+            if doc_ids is None or not all(mask):
                 doc_ids = model._ids(_units(text, model.feature_mode))
             ids += doc_ids
             sizes.append(len(doc_ids))
@@ -255,7 +258,7 @@ def _estep_store(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterC
         start = bounds.pop()
         bounds += (start + b for b in chunk_bounds)
         lengths += chunk_lengths
-        n_groups += (len(groups) if cfg.budget(len(groups)) else 0 for _, groups, _ in rows)
+        n_groups += (0 if doc_ids is None else len(groups) for _, groups, doc_ids in rows)
     block = (np.concatenate(idx), np.concatenate(counts), np.array(bounds), np.array(lengths))
     return block, np.cumsum(n_groups)
 
