@@ -361,14 +361,6 @@ def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_training_free_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--training-free",
-        action="store_true",
-        help="accepted for compatibility; no effect, stacking never retrains",
-    )
-
-
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", help="path to a saved model file")
     sub.add_argument("--adapter", type=shlex.split, help="external detector command line")
@@ -416,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="JSONL corpus to score")
     p.add_argument("--out", help="output JSONL path (default stdout)")
     p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (default %(default)s)")
-    _add_training_free_flag(p)
+    p.add_argument("--training-free", action="store_true", help="accepted for compatibility; no effect")
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)
@@ -428,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="labeled JSONL corpus")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.add_argument("--stacked", action="store_true", help="evaluate the stacked wrapper")
-    _add_training_free_flag(p)
     _add_model_flags(p)
     _add_filter_flags(p)
     _add_common(p)
@@ -511,28 +502,34 @@ def _setup_logging(level_name: str) -> None:
     root.setLevel(level_name.upper())
 
 
-def _with_config(argv: list[str]) -> list[str]:
-    """Insert the --config file's pairs as flags right after the verb, so
-    that the command line's own flags, parsed later, override them."""
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Insert the --config file's pairs as flags right after the verb, so that
+    the command line's own flags, parsed later, override them.  A switch reads
+    true or false; any other flag gets the word, for its type to accept or not."""
     pre = argparse.ArgumentParser(prog="mgtstack", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if not path:
         return argv
+    verb = parser._subparsers._group_actions[0].choices.get(argv[0], pre)  # pre: a non-verb has no switches
+    switches = {flag for action in verb._actions if action.nargs == 0 for flag in action.option_strings}
     flags = []
     for key, value in load_config_file(path).items():
         if key == "config":
             raise InvalidConfig(f"config file {path!r} may not set 'config'")
         flag = "--" + key.replace("_", "-")
-        if value is not False:
-            flags.append(flag if value is True else f"{flag}={value}")
+        if isinstance(value, bool) and flag in switches:
+            flags += [flag] if value else []
+        else:
+            flags.append(f"{flag}={str(value).lower() if isinstance(value, bool) else value}")
     return [argv[0], *flags, *argv[1:]]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
+        parser = build_parser()
+        args = parser.parse_args(_with_config(parser, argv))
         _setup_logging(args.log_level)
         return args.func(args)
     except SystemExit as exc:  # argparse exits on --help and on usage errors

@@ -173,23 +173,6 @@ def _units(text: str, feature_mode: str) -> Sequence[str]:
     return tokenize(text) if feature_mode == "word" else text.casefold()
 
 
-def _piece_units(text: str, feature_mode: str, cuts: Sequence[int]) -> tuple[Sequence[str], list[int]]:
-    """``_units(text, feature_mode)``, and the unit bounds of the pieces that
-    ``cuts`` (offsets from 0 to ``len(text)``) cut the text into.  Units are
-    found character by character, so when every cut touches whitespace, the
-    pieces' own units, run together, are the text's."""
-    word = feature_mode == "word"
-    folded = _fold(text) if word else text.casefold()
-    if len(folded) == len(text):  # every character folds to one, so the cuts hold
-        parts = [folded[a:b] for a, b in zip(cuts, cuts[1:])]
-        if word:
-            parts = [part.split() for part in parts]
-    else:
-        parts = [_units(text[a:b], feature_mode) for a, b in zip(cuts, cuts[1:])]
-    units = list(chain.from_iterable(parts)) if word else folded
-    return units, list(accumulate(map(len, parts), initial=0))
-
-
 def _bucket_ids(units: Sequence[str], feature_mode: str, n: int, memo: _BucketMemo) -> list[int]:
     """The bucket id of every n-gram of orders 1..n of ``units``, unsorted and
     repeated, order by order and then by first unit; the one featurizer of
@@ -200,18 +183,6 @@ def _bucket_ids(units: Sequence[str], feature_mode: str, n: int, memo: _BucketMe
     for order in range(2, n + 1):
         ids.extend(map(bucket, map(join, zip(*(units[j:] for j in range(order))))))
     return ids
-
-
-def _piece_ids(ids: list[int], bounds: list[int], n: int, piece: int) -> list[int]:
-    """Of the ``_bucket_ids`` of a cut text's units, the ids of the n-grams
-    inside piece number ``piece``: as a multiset, that piece's own ids."""
-    lo, hi = bounds[piece], bounds[piece + 1]
-    out: list[int] = []
-    start = 0
-    for order in range(1, n + 1):
-        out += ids[start + lo : start + max(lo, hi - order + 1)]
-        start += max(bounds[-1] - order + 1, 0)
-    return out
 
 
 def _count_ids(ids: list[int], sizes: Sequence[int], hash_buckets: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -299,8 +270,36 @@ class NGramLogRegModel:
     def score(self, text: str) -> float:
         return sigmoid(self.logit(text))
 
-    def _ids(self, units: Sequence[str]) -> list[int]:
-        return _bucket_ids(units, self.feature_mode, self.n, _bucket_memo(self.hash_buckets, self.hash_seed))
+    def _ids(self, text: str) -> list[int]:
+        memo = _bucket_memo(self.hash_buckets, self.hash_seed)
+        return _bucket_ids(_units(text, self.feature_mode), self.feature_mode, self.n, memo)
+
+    def _cut_ids(self, text: str, cuts: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+        """The text's bucket ids, and the ids of the n-grams inside each odd
+        piece 1, 3, ... of those that ``cuts`` (offsets from 0 to
+        ``len(text)``) cut it into.  Units are found character by character,
+        so when every cut touches whitespace, a piece's ids are, as a
+        multiset, that piece's own ids."""
+        word = self.feature_mode == "word"
+        folded = _fold(text) if word else text.casefold()
+        if len(folded) == len(text):  # every character folds to one, so the cuts hold
+            parts = [folded[a:b] for a, b in zip(cuts, cuts[1:])]
+            if word:
+                parts = [part.split() for part in parts]
+        else:
+            parts = [_units(text[a:b], self.feature_mode) for a, b in zip(cuts, cuts[1:])]
+        units = list(chain.from_iterable(parts)) if word else folded
+        ids = _bucket_ids(units, self.feature_mode, self.n, _bucket_memo(self.hash_buckets, self.hash_seed))
+        bounds = list(accumulate(map(len, parts), initial=0))
+        pieces = []
+        for lo, hi in zip(bounds[1::2], bounds[2::2]):
+            piece: list[int] = []
+            start = 0  # where the ids of each order begin
+            for order in range(1, self.n + 1):
+                piece += ids[start + lo : start + max(lo, hi - order + 1)]
+                start += max(len(units) - order + 1, 0)
+            pieces.append(piece)
+        return ids, pieces
 
     def _logits(self, idx: np.ndarray, counts: np.ndarray, bounds: list[int], lengths: Sequence[int]) -> list[float]:
         """The logits of a run of texts of a ``_count_ids`` block, text i of
@@ -316,14 +315,13 @@ class NGramLogRegModel:
         ``np.unique`` per chunk of texts rather than one per text.  It
         bypasses the text-level cache, which held-out texts hardly ever hit.
         """
-        memo = _bucket_memo(self.hash_buckets, self.hash_seed)
         scores: list[float] = []
         for start in range(0, len(texts), _SCORE_CHUNK):
             chunk = texts[start : start + _SCORE_CHUNK]
             ids: list[int] = []
             sizes = []
             for text in chunk:
-                text_ids = _bucket_ids(_units(text, self.feature_mode), self.feature_mode, self.n, memo)
+                text_ids = self._ids(text)
                 ids += text_ids
                 sizes.append(len(text_ids))
             block = _count_ids(ids, sizes, self.hash_buckets)
@@ -381,8 +379,9 @@ def grad_update(
     # Only the touched indices of the dense gradient; bincount adds each
     # index's terms in batch order, as a dense sum does, so bits match it.
     touched, slot = np.unique(idx, return_inverse=True)
-    terms = np.repeat(resid, [i.size for i, _ in feats]) * counts
-    grad_w = np.bincount(slot, terms, touched.size) / len(batch)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below raise instead
+        terms = np.repeat(resid, [i.size for i, _ in feats]) * counts
+        grad_w = np.bincount(slot, terms, touched.size) / len(batch)
     grad_b = _running_sum(resid) / len(batch)
     if not np.isfinite(grad_w).all():
         bad = int(touched[~np.isfinite(grad_w)].min())

@@ -48,9 +48,6 @@ from .detectors import (
     NGramLogRegModel,
     TrainConfig,
     _count_ids,
-    _piece_ids,
-    _piece_units,
-    _units,
     bin_log_likelihood,
     grad_update,
     score_batch,
@@ -89,8 +86,9 @@ def first_pass(
 ) -> list[tuple[str, RetentionMask]]:
     """Pass 1 over a corpus: (retained text, mask) for each document.
 
-    Label-agnostic by construction; this is the hard-EM E-step and the
-    first batch of the two-batch inference route.
+    Label-agnostic by construction; this is the first batch of the
+    two-batch inference route, and the reference the hard-EM E-step, which
+    scores from its store, matches bit for bit.
     """
     groups = [group_subsequences(doc, cfg.k) for doc in docs]
     filtering = [cfg.budget(len(g)) > 0 for g in groups]
@@ -128,13 +126,13 @@ def _featurized_chunks(model: NGramLogRegModel, docs: Sequence[Document], cfg: F
     """Pass-1 features for a logistic base, in chunks that give neither pass
     more than about ``_SCORE_CHUNK`` texts to count.
 
-    A document with a non-zero budget is featurized once: its text is cut
-    into pieces, gap, group, gap, ..., group, gap, whose cuts all touch
-    whitespace, so a group's bucket ids are the n-grams inside its piece.
-    Yields, per chunk, a ``(doc, groups, ids)`` row per document, ids being
-    the whole text's (None for a zero budget), and the ``_count_ids`` block
-    of the groups of every document with a non-zero budget, with their
-    lengths.
+    A document with a non-zero budget is featurized once, by one
+    ``_cut_ids`` call that cuts its text into pieces, gap, group, gap, ...,
+    group, gap, whose cuts all touch whitespace, so each odd piece's ids
+    are its group's.  Yields, per chunk, a ``(doc, groups, ids)`` row per
+    document, ids being the whole text's (None for a zero budget), and the
+    ``_count_ids`` block of the groups of every document with a non-zero
+    budget, with their lengths.
     """
     rows, ids, sizes, lengths = [], [], [], []
     for i, doc in enumerate(docs, 1):
@@ -146,13 +144,11 @@ def _featurized_chunks(model: NGramLogRegModel, docs: Sequence[Document], cfg: F
             for lo, hi in groups:
                 cuts += spans[lo].start, spans[hi - 1].end
             cuts.append(len(doc.text))
-            units, bounds = _piece_units(doc.text, model.feature_mode, cuts)
-            doc_ids = model._ids(units)
-            for piece in range(1, 2 * len(groups), 2):
-                group_ids = _piece_ids(doc_ids, bounds, model.n, piece)
+            doc_ids, pieces = model._cut_ids(doc.text, cuts)
+            for group_ids in pieces:
                 ids += group_ids
                 sizes.append(len(group_ids))
-                lengths.append(cuts[piece + 1] - cuts[piece])
+            lengths += (b - a for a, b in zip(cuts[1::2], cuts[2::2]))
         rows.append((doc, groups, doc_ids))
         if max(len(sizes), len(rows)) >= _SCORE_CHUNK or i == len(docs):
             yield rows, (*_count_ids(ids, sizes, model.hash_buckets), lengths)
@@ -174,7 +170,7 @@ def _score_logreg(
         for doc, groups, doc_ids in rows:
             text, mask = _retain(doc, groups, None if doc_ids is None else list(islice(scores, len(groups))), cfg)
             if doc_ids is None or not all(mask):
-                doc_ids = model._ids(_units(text, model.feature_mode))
+                doc_ids = model._ids(text)
             ids += doc_ids
             sizes.append(len(doc_ids))
             lengths.append(len(text))

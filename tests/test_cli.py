@@ -222,6 +222,12 @@ def test_detect_training_free_flag(capsys, corpus_path, model_path):
     assert len(out.splitlines()) == 40
 
 
+def test_eval_has_no_training_free_flag(capsys, corpus_path, model_path):
+    code, out, err = run(capsys, ["eval", "--corpus", corpus_path, "--model", model_path, "--training-free"])
+    assert (code, out) == (2, "")
+    assert "--training-free" in err
+
+
 @pytest.mark.parametrize("kind", ["logreg", "lm2"])
 def test_detect_jobs_parity(capsys, corpus_path, model_path, tmp_path, kind):
     # The workers get the detector by pickle; an LM rebuilds its term tables.
@@ -665,6 +671,16 @@ def test_config_switch_takes_true_and_false(capsys, corpus_path, tmp_path, recor
         counts.append(len(launches(log)))
         log.unlink()
     assert counts == [2, 1]
+
+
+@pytest.mark.parametrize("word", ["true", "false", "FALSE"])
+def test_config_true_or_false_for_a_valued_flag_is_config_error(capsys, corpus_path, model_path, tmp_path, word):
+    # Only a switch reads true or false: --tau gets the word and rejects it.
+    cfg = tmp_path / "detect.cfg"
+    cfg.write_text(f"tau = {word}\n", encoding="utf-8")
+    code, out, err = run(capsys, ["detect", "--corpus", corpus_path, "--model", model_path, "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "--tau" in err
 
 
 def test_base_arms_launch_adapter_once(capsys, corpus_path, recorder):

@@ -34,7 +34,7 @@ from mgtstack import (
     train_plain,
 )
 
-from mgtstack.detectors import _BOS
+from mgtstack.detectors import _BOS, _bucket_ids, _bucket_memo, _units
 from mgtstack.retention import compute_mask
 from mgtstack.segmentation import group_subsequences, group_texts, reconstruct
 from mgtstack import stacked
@@ -385,6 +385,24 @@ def gapped_docs(draw):
         text += sentence
     text += draw(st.sampled_from(["", *GAPS]))
     return Document("g", text, sentences=tuple(spans))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=gapped_docs(), feature_mode=st.sampled_from(["word", "char"]), n=st.integers(1, 3), k=st.integers(1, 3))
+def test_cut_ids_of_a_group_piece_are_the_groups_own(doc, feature_mode, n, k):
+    # Cut where the logistic route cuts, at group boundaries: the whole
+    # text's ids are its own, and each group's piece holds, as a multiset,
+    # the ids of the group's text.
+    model = NGramLogRegModel.new(n, feature_mode, 2**20)
+    memo = _bucket_memo(model.hash_buckets, model.hash_seed)
+    spans = doc.sentences
+    groups = group_subsequences(doc, k)
+    cuts = [0, *(c for lo, hi in groups for c in (spans[lo].start, spans[hi - 1].end)), len(doc.text)]
+    ids, pieces = model._cut_ids(doc.text, cuts)
+    assert ids == _bucket_ids(_units(doc.text, feature_mode), feature_mode, n, memo)
+    assert len(pieces) == len(groups)
+    for a, b, piece in zip(cuts[1::2], cuts[2::2], pieces):
+        assert sorted(piece) == sorted(_bucket_ids(_units(doc.text[a:b], feature_mode), feature_mode, n, memo))
 
 
 @settings(max_examples=300, deadline=None)
