@@ -127,9 +127,10 @@ def _load_base(args):
 
 
 def _stacked_report(base, fc, docs, seed):
-    """Metrics report of the two-pass engine over labeled documents."""
+    """Metrics report of the two-pass engine over labeled documents, and its scores."""
     labels = require_labels(docs)
-    return evaluate_scores([r.score for r in score_corpus(base, docs, fc)], labels, seed=seed)
+    scores = [r.score for r in score_corpus(base, docs, fc)]
+    return evaluate_scores(scores, labels, seed=seed), scores
 
 
 def _write_text(text: str, out_path) -> None:
@@ -180,7 +181,10 @@ def _cmd_train(args) -> int:
     epochs = "".join(json.dumps(asdict(rec), sort_keys=True) + "\n" for rec in trace.epochs)
     _write_text(epochs, trace_path)
 
-    report = _stacked_report(model, fc, val_docs, args.seed)
+    report, scores = _stacked_report(model, fc, val_docs, args.seed)
+    pinned = sum(score in (0.0, 1.0) for score in scores)
+    if 2 * pinned > len(scores):  # pass-1 scores pinned at 0 or 1 leave the filter nothing to rank
+        logger.warning("train: %d of %d validation scores are exactly 0 or 1; try a smaller --lr", pinned, len(scores))
     report_path = os.path.join(args.out, "eval_val.json")
     _write_text(report.to_json(), report_path)
 
@@ -240,7 +244,7 @@ def _cmd_eval(args) -> int:
     base = _load_base(args)
     docs = _load_docs(args, args.corpus)
     if args.stacked:
-        report = _stacked_report(base, _filter_config(args), docs, args.seed)
+        report = _stacked_report(base, _filter_config(args), docs, args.seed)[0]
     else:
         labels = require_labels(docs)
         report = evaluate_scores(score_batch(base, [d.text for d in docs]), labels, seed=args.seed)

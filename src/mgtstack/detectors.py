@@ -25,7 +25,7 @@ import re
 import subprocess
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -423,37 +423,41 @@ class TrainConfig:
 # n-gram language-model likelihood-ratio detector
 
 
+def _class_terms(ngrams: dict[tuple[str, ...], int], lam: float):
+    """One class's add-lambda term log P(w|ctx) = log(c(ctx,w)+lam) - log(c(ctx)+lam*V),
+    V the distinct observed tokens + 1 slot for unseen, as a function of
+    c(ctx,w) and ctx; and the contexts the class has seen."""
+    contexts: dict[tuple[str, ...], int] = {}
+    vocab: set[str] = set()
+    for gram, c in ngrams.items():
+        contexts[gram[:-1]] = contexts.get(gram[:-1], 0) + c
+        vocab.add(gram[-1])
+    lam_v, log, ctx_count = lam * (len(vocab) + 1), math.log, contexts.get
+    return (lambda count, ctx: log(count + lam) - log(ctx_count(ctx, 0) + lam_v)), contexts
+
+
 class _TermTable(dict):
-    """log P(gram[-1] | gram[:-1]) under one class's add-lambda smoothed counts,
-    P(w|ctx) = (c(ctx,w)+lam)/(c(ctx)+lam*V) with V the distinct observed
-    tokens + 1 slot for unseen, stored for the class's own n-grams and
-    ``more``.  Any other n-gram has count 0, so its term depends on its context
-    alone: ``unseen`` holds it per context, and a lookup of such an n-gram
-    returns it without storing anything.  Bounded by the model, not the text."""
+    """The (machine, human) pair of add-lambda terms of each n-gram either class
+    has seen.  Any other n-gram has count 0 in both, so its pair depends on its
+    context alone: ``unseen`` holds it per context either class has seen, and a
+    lookup of such an n-gram returns it without storing anything.  Bounded by
+    the model, not the text."""
 
-    def __init__(
-        self, n: int, lam: float, ngrams: dict[tuple[str, ...], int], more: Iterable[tuple[str, ...]]
-    ) -> None:
-        self.n = n
-        contexts: dict[tuple[str, ...], int] = {}
-        vocab: set[str] = set()
-        for gram, c in ngrams.items():
-            contexts[gram[:-1]] = contexts.get(gram[:-1], 0) + c
-            vocab.add(gram[-1])
-        lam_v, log = lam * (len(vocab) + 1), math.log
-        count, ctx_count = ngrams.get, contexts.get
-        grams = ngrams.keys() | more
-        super().__init__({g: log(count(g, 0) + lam) - log(ctx_count(g[:-1], 0) + lam_v) for g in grams})
-        self.unseen = {ctx: log(0 + lam) - log(c + lam_v) for ctx, c in contexts.items()}
-        self.unseen_default = log(0 + lam) - log(0 + lam_v)
+    def __init__(self, lm: NGramLMDetector) -> None:
+        self.n, machine, human = lm.n, lm.machine, lm.human
+        (m_term, m_ctx), (h_term, h_ctx) = _class_terms(machine, lm.lam), _class_terms(human, lm.lam)
+        grams = machine.keys() | human.keys()
+        super().__init__({g: (m_term(machine.get(g, 0), g[:-1]), h_term(human.get(g, 0), g[:-1])) for g in grams})
+        self.unseen = {ctx: (m_term(0, ctx), h_term(0, ctx)) for ctx in m_ctx.keys() | h_ctx.keys()}
+        self.unseen_default = (m_term(0, None), h_term(0, None))  # no context is None
 
-    def __missing__(self, gram: tuple[str, ...]) -> float:
+    def __missing__(self, gram: tuple[str, ...]) -> tuple[float, float]:
         return self.unseen.get(gram[:-1], self.unseen_default)
 
-    def terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> list[float]:
-        """log P(token | its n-1 predecessors) for each token, in order.  The first
-        tokens' predecessors come from ``context`` (the text before ``tokens``),
-        padded with BOS markers where it runs out."""
+    def terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> list[tuple[float, float]]:
+        """The (machine, human) terms of each token given its n-1 predecessors,
+        in order.  The first tokens' predecessors come from ``context`` (the
+        text before ``tokens``), padded with BOS markers where it runs out."""
         m = self.n - 1
         if not m:  # nothing to pad: skipping the copies nearly halves a unigram call's cost
             return list(map(self.__getitem__, zip(tokens)))
@@ -472,11 +476,21 @@ def _running_sum(values: Iterable[float], start: float = 0.0) -> float:
     return total
 
 
-def _lr_score(machine: Sequence[float], human: Sequence[float]) -> float:
-    """Length-stabilized likelihood-ratio score from per-token terms."""
-    if not machine:
+def _pair_sums(pairs: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """Each column's _running_sum, in one loop over (machine, human) pairs."""
+    machine = human = 0.0
+    for m, h in pairs:
+        machine += m
+        human += h
+    return machine, human
+
+
+def _lr_score(pairs: Iterable[tuple[float, float]], length: int) -> float:
+    """Length-stabilized likelihood-ratio score from ``length`` per-token term pairs."""
+    if not length:
         return 0.5
-    return sigmoid((_running_sum(machine) - _running_sum(human)) / math.sqrt(len(machine)))
+    machine, human = _pair_sums(pairs)
+    return sigmoid((machine - human) / math.sqrt(length))
 
 
 def _count_ngrams(docs: Iterable[Document], n: int) -> dict[tuple[str, ...], int]:
@@ -505,9 +519,9 @@ class NGramLMDetector:
     lam: float
     machine: dict[tuple[str, ...], int]  # n-gram counts of each class
     human: dict[tuple[str, ...], int]
-    # Each class's term table also stores the other class's n-grams, which it
-    # scores too.  Derived from the counts: not in eq, repr or pickle.
-    _memo: tuple[_TermTable, _TermTable] = field(init=False, repr=False, compare=False)
+    # Both classes' terms of every n-gram either has seen.  Derived from the
+    # counts: not in eq, repr or pickle.
+    _memo: _TermTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_int(self.n, "n-gram order")
@@ -521,17 +535,10 @@ class NGramLMDetector:
                 for g, c in counts.items()
             ):
                 raise InvalidConfig(f"n-gram counts must map {self.n}-tuples of str to ints >= 0")
-        memo = (
-            _TermTable(self.n, self.lam, self.machine, self.human),
-            _TermTable(self.n, self.lam, self.human, self.machine),
-        )
-        object.__setattr__(self, "_memo", memo)
+        object.__setattr__(self, "_memo", _TermTable(self))
 
     def __reduce__(self) -> tuple:
         return type(self), (self.n, self.lam, self.machine, self.human)
-
-    def _terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> tuple[list[float], list[float]]:
-        return self._memo[0].terms(tokens, context), self._memo[1].terms(tokens, context)
 
     @classmethod
     def fit(cls, docs: Sequence[Document], n: int = 1, lam: float = 0.1) -> "NGramLMDetector":
@@ -548,21 +555,21 @@ class NGramLMDetector:
 
     def log_ratio(self, text: str) -> float:
         """Unnormalized log M(text) - log H(text)."""
-        machine, human = self._terms(tokenize(text))
-        return _running_sum(machine) - _running_sum(human)
+        machine, human = _pair_sums(self._memo.terms(tokenize(text)))
+        return machine - human
 
     def score(self, text: str, *, terms: list | None = None) -> float:
         """Likelihood-ratio score of ``text``.
 
-        When ``terms`` is a list, ``(tokens, machine terms, human terms)`` of
-        the text is appended to it, so a caller can score a concatenation of
-        scored texts without scoring any token again.
+        When ``terms`` is a list, ``(tokens, term pairs)`` of the text is
+        appended to it, so a caller can score a concatenation of scored texts
+        without scoring any token again.
         """
         tokens = tokenize(text)
-        machine, human = self._terms(tokens)
+        pairs = self._memo.terms(tokens)
         if terms is not None:
-            terms.append((tokens, machine, human))
-        return _lr_score(machine, human)
+            terms.append((tokens, pairs))
+        return _lr_score(pairs, len(pairs))
 
     def score_two_pass(self, group_texts: Sequence[str], cfg: FilterConfig) -> tuple[float, RetentionMask]:
         """Both passes of stacked inference over one document's groups.
@@ -575,24 +582,23 @@ class NGramLMDetector:
         and ``score(document text)`` when every group is kept (a
         :class:`Document`'s text holds only whitespace outside its spans).
         """
-        groups: list[tuple[list[str], list[float], list[float]]] = []
+        groups: list[tuple[list[str], list[tuple[float, float]]]] = []
         mask = compute_mask([self.score(t, terms=groups) for t in group_texts], cfg)
         reach = self.n - 1  # tokens whose context can cross a join
-        kept: list[str] = []
-        kept_machine: list[float] = []
-        kept_human: list[float] = []
-        for (tokens, m, h), bit in zip(groups, mask):
+        tail: list[str] = []  # the last n-1 retained tokens
+        kept: list[Iterable[tuple[float, float]]] = []
+        length = 0
+        for (tokens, pairs), bit in zip(groups, mask):
             if not bit:
                 continue
-            head = tokens[:reach]
-            if kept and head:
-                head_m, head_h = self._terms(head, kept)
-                m = head_m + m[len(head) :]
-                h = head_h + h[len(head) :]
-            kept += tokens
-            kept_machine += m
-            kept_human += h
-        return _lr_score(kept_machine, kept_human), mask
+            if tail and tokens:
+                head = tokens[:reach]
+                pairs = chain(self._memo.terms(head, tail), islice(pairs, len(head), None))
+            if reach:
+                tail = (tail + tokens[-reach:])[-reach:]
+            kept.append(pairs)
+            length += len(tokens)
+        return _lr_score(chain.from_iterable(kept), length), mask
 
 
 # --------------------------------------------------------------------------

@@ -1102,3 +1102,79 @@ def test_logreg_outputs_match_golden_digests(capsys, golden_logreg_corpus, tmp_p
         assert run(capsys, [*verb, *model, "--out", str(outputs[name])])[0] == 0
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in outputs.items()}
     assert digests == expected
+
+
+# ---------------------------------------------------------------------------
+# golden n-gram LM outputs
+
+GOLDEN_LM = {
+    1: {
+        "detect": "81c3d1c6ece36947fd0f0640fe81078aa890190be10b4495ac247c067810630d",
+        "eval": "c11043905352157b8941c220e4de52d56184a0e851c92491a8823400ecc382ed",
+        "eval-stacked": "7fa9908c1d0313b5cf2cd6f2f343628709914fedda1b4d42d98031173dbbf347",
+    },
+    2: {
+        "detect": "75142039780c45eb1b61b3334cbd5ef2354af42155e50ab835fb30d1168645bf",
+        "eval": "b0790f3ef39b5c41fa26e5e793dd818dce21275ed1d97058e52d7d168bba939f",
+        "eval-stacked": "6672ccfe66487a1eae96592a5d0aa55b7c1c92a006be85ba5d147d55c4bdbe39",
+    },
+    3: {
+        "detect": "160ea2e7a31a695d45364ad43c5e1fba16661867bb1392c91f274700f29448e9",
+        "eval": "4fe016c87d4bd5be29db0508be496f88567757f2451974e169aa68583762d39d",
+        "eval-stacked": "481a36b40c80acfdac71df823ed3c21e260b28a1e6132010793c04be55d4617c",
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_LM))
+def test_lm_outputs_match_golden_digests(capsys, golden_logreg_corpus, tmp_path, n):
+    """SHA-256 digests of ``detect``, ``eval`` and ``eval --stacked`` for an
+    n-gram LM fit with light smoothing on half of the weak-signal corpus.
+
+    The digests were written by source commit 6d2fa58, so any change to the
+    LM's term tables or to the order in which a score adds its terms that
+    moves a single bit of a score fails here.  The filter drops groups of
+    more than half of the documents at every order.
+    """
+    corpus, path = golden_logreg_corpus, tmp_path / "lm.json"
+    save_model(NGramLMDetector.fit(load_corpus(corpus)[:24], n=n, lam=0.01), str(path))
+    model = ["--corpus", corpus, "--model", str(path)]
+    stacked = ["--re", "0.45", "--tau", "0.5"]
+    verbs = {"detect": ["detect", *stacked], "eval": ["eval"], "eval-stacked": ["eval", "--stacked", *stacked]}
+    digests = {}
+    for name, verb in verbs.items():
+        out = tmp_path / name
+        assert run(capsys, [*verb, *model, "--out", str(out)])[0] == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    rows = [json.loads(line) for line in (tmp_path / "detect").read_text().splitlines()]
+    assert sum(row["n_filtered"] > 0 for row in rows) > len(rows) // 2
+    assert digests == GOLDEN_LM[n]
+
+
+# ---------------------------------------------------------------------------
+# saturated training
+
+
+@pytest.fixture(scope="module")
+def saturating_corpus(tmp_path_factory):
+    """Weak-signal documents with one to three injected human sentences per
+    machine document, on which a char-mode model saturates at the default
+    step size and a word-mode model does not."""
+    spec = SynthSpec(n_docs=160, seed=77, strong_frac=0.5, weak_prob=0.5)
+    pool = human_sentence_pool(spec, 100, 78)
+    rng = random.Random(79)
+    docs = [inject_human_sentences(d, pool, rng.randint(1, 3), rng) if d.label == 1 else d for d in synth_corpus(spec)]
+    path = tmp_path_factory.mktemp("saturating") / "corpus.jsonl"
+    save_corpus(str(path), docs)
+    return str(path)
+
+
+@pytest.mark.parametrize("mode, warned", [("char", True), ("word", False)])
+def test_train_warns_when_validation_scores_saturate(capsys, saturating_corpus, tmp_path, mode, warned):
+    argv = ["train", "--corpus", saturating_corpus, "--out", str(tmp_path), "--feature-mode", mode]
+    code, out, err = run(capsys, [*argv, "--hash-buckets", "4096", "--seed", "5"])
+    assert code == 0
+    events = [json.loads(line) for line in err.splitlines()]
+    warnings = [e["event"] for e in events if e["level"] == "WARNING"]
+    assert warnings == (["train: 35 of 40 validation scores are exactly 0 or 1; try a smaller --lr"] if warned else [])
+    assert json.loads(out)["val_auroc"] == (0.625 if warned else 0.9825)

@@ -669,14 +669,14 @@ def test_lm_term_tables_stay_out_of_model_identity(tmp_path):
         Document.from_text("h1", "hh nn hh.", label=0),
     ]
     det = NGramLMDetector.fit(docs, n=2, lam=0.1)
-    # Each class's table stores the n-grams only the other class has seen.
-    assert ("hh", "nn") in det._memo[0] and ("mm", "nn") in det._memo[1]
+    # The one table stores the n-grams each class alone has seen.
+    assert ("hh", "nn") in det._memo and ("mm", "nn") in det._memo
     path = tmp_path / "lm.json"
     save_model(det, str(path))
     saved, shown, pickled = path.read_bytes(), repr(det), pickle.dumps(det)
-    sizes = [len(memo) for memo in det._memo]
+    sizes = len(det._memo), len(det._memo.unseen)
     det.score("qq rr. Ss qq.")  # unseen words only
-    assert [len(memo) for memo in det._memo] == sizes
+    assert (len(det._memo), len(det._memo.unseen)) == sizes
     det.score("mm nn hh nn mm")
     det.score_two_pass(["mm nn.", "hh hh.", "nn mm."], FilterConfig(r_e=0.3, tau=0.5, k=1))
     assert det == load_model(str(path))
@@ -687,6 +687,28 @@ def test_lm_term_tables_stay_out_of_model_identity(tmp_path):
     assert path.read_bytes() == saved
     clone = pickle.loads(pickled)
     assert clone == det and clone._memo == det._memo
+
+
+# Mixed signs, magnitudes from 1e-300 to 1e300, and zeros: sums whose
+# rounding depends on the order the terms are added in.
+sum_terms = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-300, 299),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(sum_terms, sum_terms), max_size=40))
+def test_pair_sums_match_running_sum_of_each_column_bit_for_bit(pairs):
+    # The LM's byte-identical scores rest on this addition order.
+    machine, human = detectors._pair_sums(pairs)
+    assert machine.hex() == detectors._running_sum(m for m, _ in pairs).hex()
+    assert human.hex() == detectors._running_sum(h for _, h in pairs).hex()
 
 
 def test_lm_fit_validation():

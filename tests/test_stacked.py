@@ -291,21 +291,21 @@ TERM_TOKENS = sorted({t for w in HYP_WORDS for t in tokenize(w)}) + ["zz"]
 def test_lm_term_tables_match_reference_bit_for_bit(order, tokens, context):
     # Contexts both shorter and longer than n - 1, for orders 1 to 3.
     det = HYP_LMS[order]
-    for counts, memo in zip((det.machine, det.human), det._memo):
-        assert memo.terms(tokens, context) == reference_terms(det.n, det.lam, counts, tokens, context)
-        assert memo.terms(tokens) == reference_terms(det.n, det.lam, counts, tokens)
+    for ctx in (context, ()):
+        machine, human = (reference_terms(det.n, det.lam, counts, tokens, ctx) for counts in (det.machine, det.human))
+        assert det._memo.terms(tokens, ctx) == list(zip(machine, human))
 
 
 @pytest.mark.parametrize("order", sorted(HYP_LMS))
 def test_lm_unseen_ngrams_leave_term_tables_unchanged(order):
     # An unseen n-gram's term is its context's; looking it up stores nothing.
     det = HYP_LMS[order]
-    sizes = [len(memo) for memo in det._memo]
+    sizes = len(det._memo), len(det._memo.unseen)
     text = "qq rr. Ss qq aa! Zz bb cc qq."  # mostly words neither class has seen
     det.score(text)
     det.log_ratio(text)
     det.score_two_pass(["qq rr.", "Ss qq aa!", "Zz bb cc qq."], FilterConfig(r_e=0.3, tau=0.5, k=1))
-    assert [len(memo) for memo in det._memo] == sizes
+    assert (len(det._memo), len(det._memo.unseen)) == sizes
 
 
 @settings(max_examples=300, deadline=None)
