@@ -25,8 +25,8 @@ import re
 import subprocess
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, chain, islice
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -115,8 +115,8 @@ def _check_hashing(feature_mode: str, n: int, hash_buckets: int, hash_seed: int)
     if feature_mode not in ("word", "char"):
         raise InvalidConfig(f"feature_mode must be 'word' or 'char', got {feature_mode!r}")
     _check_int(n, "n-gram order")
-    # The bound keeps every bucket id, and score_batch's key
-    # position * hash_buckets + bucket, inside np.intp.
+    # The bound keeps every bucket id, and a batch route's key
+    # owner * hash_buckets + bucket, inside np.intp.
     _check_int(hash_buckets, "hash_buckets", 1, 2**32)
     _check_int(hash_seed, "hash_seed", 0, 2**64)
 
@@ -185,29 +185,165 @@ def _bucket_ids(units: Sequence[str], feature_mode: str, n: int, memo: _BucketMe
     return ids
 
 
-def _count_ids(ids: list[int], sizes: Sequence[int], hash_buckets: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Each text's distinct bucket ids, ascending, and their counts, for texts
-    whose ids run back to back in ``ids`` (``sizes[i]`` of them for text i),
-    with one ``np.unique``; text i owns ``[bounds[i], bounds[i + 1])``.
+class _UnitCoder(dict):
+    """One call's code of each distinct unit, with the unit and its bucket
+    by code."""
 
-    Each text's ids are offset by its position times ``hash_buckets``, so the
-    sorted unique keys run text by text, and within a text by bucket index.
+    def __init__(self, memo: _BucketMemo) -> None:
+        super().__init__()
+        self.memo, self.grams, self.buckets = memo, [], []
+
+    def __missing__(self, unit: str) -> int:
+        self[unit] = code = len(self.grams)
+        self.grams.append(unit)
+        self.buckets.append(self.memo[unit])
+        return code
+
+
+class _GramCoder:
+    """One call's id of each distinct order-o n-gram key ``(id of its first
+    o - 1 units << 32) | code of its last unit``, with the n-gram and its
+    bucket by id.  The keys are held sorted, ending in a sentinel no key
+    reaches."""
+
+    def __init__(self, prefix: "_UnitCoder | _GramCoder", units: _UnitCoder, join) -> None:
+        self.prefix, self.units, self.join = prefix, units, join
+        self.keys, self.ids = np.array([np.iinfo(np.int64).max]), np.array([-1])
+        self.grams: list[str] = []
+        self.buckets = np.empty(0, np.intp)
+
+    def __len__(self) -> int:
+        return len(self.grams)
+
+    def code(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ids and buckets of ascending distinct keys: a new key gets the
+        next id, and its n-gram is joined and looked up in the bucket memo
+        once."""
+        at = np.searchsorted(self.keys, keys)
+        ids, new = self.ids[at], self.keys[at] != keys
+        if new.any():
+            fresh = keys[new]
+            last = map(self.units.grams.__getitem__, (fresh & 0xFFFFFFFF).tolist())
+            grams = list(map(self.join, zip(map(self.prefix.grams.__getitem__, (fresh >> 32).tolist()), last)))
+            ids[new] = np.arange(len(self.grams), len(self.grams) + len(grams))
+            self.keys, self.ids = np.insert(self.keys, at[new], fresh), np.insert(self.ids, at[new], ids[new])
+            self.grams += grams
+            new_buckets = np.fromiter(map(self.units.memo.__getitem__, grams), np.intp, len(grams))
+            self.buckets = np.append(self.buckets, new_buckets)
+        return ids, self.buckets[ids]
+
+
+class _ChunkFeaturizer:
+    """The n-grams of orders 1..n of chunks of texts under one model's
+    layout, for one call of a batch route.
+
+    Each distinct unit (word token or character) gets an integer code once,
+    through a dict, and each order's keys are built in numpy from the codes;
+    one ``np.unique`` per order finds a chunk's distinct keys, and only a key
+    new to the call is joined into its string and looked up in the layout's
+    bucket memo.  The
+    coders start over between chunks once they hold ``_BUCKET_MEMO_KEYS``
+    keys; a bucket is a pure function of its key, so no feature changes.
     """
-    offsets = np.repeat(np.arange(len(sizes), dtype=np.intp) * hash_buckets, sizes)
-    keys, counts = np.unique(np.array(ids, dtype=np.intp) + offsets, return_counts=True)
-    position, idx = np.divmod(keys, hash_buckets)
-    return idx, counts, np.searchsorted(position, np.arange(len(sizes) + 1)).tolist()
+
+    def __init__(self, model: "NGramLogRegModel") -> None:
+        self.n, self.feature_mode, self.hash_buckets = model.n, model.feature_mode, model.hash_buckets
+        self.memo = _bucket_memo(model.hash_buckets, model.hash_seed)
+        self.start()
+
+    def start(self) -> None:
+        """New, empty coders."""
+        self.coders: list = [_UnitCoder(self.memo)]
+        join = _NGRAM_SEP.join if self.feature_mode == "word" else "".join
+        for _ in range(1, self.n):
+            self.coders.append(_GramCoder(self.coders[-1], self.coders[0], join))
+
+    def parts(self, text: str, cuts: Sequence[int] | None = None) -> list[list[int]]:
+        """The unit codes of each piece that ``cuts`` (offsets from 0 to
+        ``len(text)``) cut the text into, or of the whole text.  Units are
+        found character by character, so when every cut touches whitespace,
+        the pieces' units run together are the text's."""
+        if cuts is None:
+            pieces = [_units(text, self.feature_mode)]
+        else:
+            word = self.feature_mode == "word"
+            folded = _fold(text) if word else text.casefold()
+            if len(folded) == len(text):
+                pieces = [folded[a:b].split() if word else folded[a:b] for a, b in zip(cuts, cuts[1:])]
+            else:  # some character folds to several, so the cuts miss: fold each piece
+                pieces = [_units(text[a:b], self.feature_mode) for a, b in zip(cuts, cuts[1:])]
+        code = self.coders[0].__getitem__
+        return [list(map(code, piece)) for piece in pieces]
+
+    def chunks(self, rows: Iterable[tuple], bound: int) -> Iterator[list[tuple]]:
+        """``(row, parts)`` for each row, which ends in a text and its cuts
+        (or None), in runs that end once they hold ``bound`` units or
+        ``bound`` rows.  The coders start over before a run once they hold
+        ``_BUCKET_MEMO_KEYS`` keys, so never while the last run's codes are
+        in use."""
+        chunk, units = [], 0
+        for row in rows:
+            if not chunk and sum(map(len, self.coders)) > _BUCKET_MEMO_KEYS:
+                self.start()
+            parts = self.parts(*row[-2:])
+            chunk.append((row, parts))
+            units += sum(map(len, parts))
+            if units >= bound or len(chunk) >= bound:
+                yield chunk
+                chunk, units = [], 0
+        if chunk:
+            yield chunk
+
+    def __call__(
+        self, texts: Sequence[Sequence[Sequence[int]]], owners: Sequence[int] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The keys ``owner * hash_buckets + bucket`` of the n-grams of orders
+        1..n of ``texts``, each given by its ``parts``, for ``count``: of
+        every n-gram inside text i, owned by ``owners[i]`` (default i), and
+        of every n-gram inside one odd part (1, 3, ...), owned by that part's
+        number among the odd parts of all texts."""
+        parts = list(chain.from_iterable(texts))
+        per_text = np.fromiter(map(len, texts), np.intp, len(texts))
+        sizes = np.fromiter(map(len, parts), np.intp, len(parts))
+        odd = (np.arange(len(parts)) - np.repeat(np.cumsum(per_text) - per_text, per_text)) % 2
+        owners = np.fromiter(range(len(texts)) if owners is None else owners, np.intp, len(texts))
+        owner = np.repeat(np.repeat(owners, per_text), sizes)
+        group = np.repeat(np.where(odd == 1, np.cumsum(odd) - 1, -1), sizes)
+        owner = np.append(owner, np.full(self.n, -1))  # so an n-gram running past the end is no text's
+        code = np.fromiter(chain.from_iterable(parts), np.int64, group.size)
+        at, ids, buckets = np.arange(code.size), code, np.array(self.coders[0].buckets, np.intp)[code]
+        text_keys, group_keys = [], []
+        for order, coder in enumerate(self.coders, 1):
+            if order > 1:
+                inside = owner[at] == owner[at + order - 1]
+                at, ids = at[inside], ids[inside]
+                keys, inverse = np.unique(ids << 32 | code[at + order - 1], return_inverse=True)
+                ids, buckets = (a[inverse] for a in coder.code(keys))
+            text_keys.append(owner[at] * self.hash_buckets + buckets)
+            first = group[at]
+            inside = (first >= 0) & (group[at + order - 1] == first)
+            group_keys.append(first[inside] * self.hash_buckets + buckets[inside])
+        return np.concatenate(text_keys), np.concatenate(group_keys)
+
+    def count(self, keys: np.ndarray, n_owners: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Each owner's distinct buckets, ascending, and their counts, from
+        its keys, with one ``np.unique``: owner i, of ``range(n_owners)``,
+        holds ``[bounds[i], bounds[i + 1])`` of ``(idx, counts, bounds)``."""
+        keys, counts = np.unique(keys, return_counts=True)
+        owner, idx = np.divmod(keys, self.hash_buckets)
+        return idx, counts, np.searchsorted(owner, np.arange(n_owners + 1)).tolist()
 
 
 # --------------------------------------------------------------------------
 # trainable logistic-regression detector
 
 
-# Texts per np.unique in NGramLogRegModel.score_batch, and about the most
-# either pass of the logistic stacked route counts per chunk of documents:
-# one call per chunk keeps the fixed numpy cost off each short group text,
-# and the bound keeps the chunk's key arrays small.
-_SCORE_CHUNK = 512
+# About the most units (word tokens or characters), and the most texts, that
+# one chunk of a batch route featurizes and counts: a call per chunk keeps
+# numpy's fixed cost off each short text, and the bound keeps the chunk's
+# arrays, and so the allocator's peak, small.  Twice this was slightly faster
+# on short documents but left a higher peak RSS after a training run.
+_SCORE_CHUNK = 2**13
 
 
 def _checked_logit(bias: float, terms: Iterable[float], length: int) -> float:
@@ -270,41 +406,10 @@ class NGramLogRegModel:
     def score(self, text: str) -> float:
         return sigmoid(self.logit(text))
 
-    def _ids(self, text: str) -> list[int]:
-        memo = _bucket_memo(self.hash_buckets, self.hash_seed)
-        return _bucket_ids(_units(text, self.feature_mode), self.feature_mode, self.n, memo)
-
-    def _cut_ids(self, text: str, cuts: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-        """The text's bucket ids, and the ids of the n-grams inside each odd
-        piece 1, 3, ... of those that ``cuts`` (offsets from 0 to
-        ``len(text)``) cut it into.  Units are found character by character,
-        so when every cut touches whitespace, a piece's ids are, as a
-        multiset, that piece's own ids."""
-        word = self.feature_mode == "word"
-        folded = _fold(text) if word else text.casefold()
-        if len(folded) == len(text):  # every character folds to one, so the cuts hold
-            parts = [folded[a:b] for a, b in zip(cuts, cuts[1:])]
-            if word:
-                parts = [part.split() for part in parts]
-        else:
-            parts = [_units(text[a:b], self.feature_mode) for a, b in zip(cuts, cuts[1:])]
-        units = list(chain.from_iterable(parts)) if word else folded
-        ids = _bucket_ids(units, self.feature_mode, self.n, _bucket_memo(self.hash_buckets, self.hash_seed))
-        bounds = list(accumulate(map(len, parts), initial=0))
-        pieces = []
-        for lo, hi in zip(bounds[1::2], bounds[2::2]):
-            piece: list[int] = []
-            start = 0  # where the ids of each order begin
-            for order in range(1, self.n + 1):
-                piece += ids[start + lo : start + max(lo, hi - order + 1)]
-                start += max(len(units) - order + 1, 0)
-            pieces.append(piece)
-        return ids, pieces
-
     def _logits(self, idx: np.ndarray, counts: np.ndarray, bounds: list[int], lengths: Sequence[int]) -> list[float]:
-        """The logits of a run of texts of a ``_count_ids`` block, text i of
-        ``lengths[i]`` characters owning ``bounds[i]:bounds[i + 1]``: the same
-        products, added in the same order, as ``logit``."""
+        """The logits of a run of texts of a ``_ChunkFeaturizer.count``
+        block, text i of ``lengths[i]`` characters owning ``bounds[i]:bounds[i
+        + 1]``: the same products, added in the same order, as ``logit``."""
         start, stop = bounds[0], bounds[-1]
         terms = (self.weights[idx[start:stop]] * counts[start:stop]).tolist()
         texts = zip(bounds, bounds[1:], lengths)
@@ -312,20 +417,15 @@ class NGramLogRegModel:
 
     def score_batch(self, texts: Sequence[str]) -> list[float]:
         """``[self.score(t) for t in texts]``, bit for bit, with one
-        ``np.unique`` per chunk of texts rather than one per text.  It
-        bypasses the text-level cache, which held-out texts hardly ever hit.
+        ``_ChunkFeaturizer`` call and one ``np.unique`` per chunk of texts
+        rather than one per text.  It bypasses the text-level cache, which
+        held-out texts hardly ever hit.
         """
+        featurize = _ChunkFeaturizer(self)
         scores: list[float] = []
-        for start in range(0, len(texts), _SCORE_CHUNK):
-            chunk = texts[start : start + _SCORE_CHUNK]
-            ids: list[int] = []
-            sizes = []
-            for text in chunk:
-                text_ids = self._ids(text)
-                ids += text_ids
-                sizes.append(len(text_ids))
-            block = _count_ids(ids, sizes, self.hash_buckets)
-            scores += map(sigmoid, self._logits(*block, [len(text) for text in chunk]))
+        for chunk in featurize.chunks(((text, None) for text in texts), _SCORE_CHUNK):
+            block = featurize.count(featurize([parts for _, parts in chunk])[0], len(chunk))
+            scores += map(sigmoid, self._logits(*block, [len(text) for (text, _), _ in chunk]))
         return scores
 
 

@@ -15,8 +15,9 @@ the base detector.  There are three routes:
 * An :class:`NGramLogRegModel` base featurizes each document once: a
   group's n-grams are those of the document inside it, and a document that
   keeps every group is scored from all of them.  Only one that drops a
-  group, or has a zero budget, featurizes its retained text.  Each pass
-  counts a chunk of at most about ``_SCORE_CHUNK`` texts with one
+  group, or has a zero budget, featurizes its retained text.  Documents go
+  in chunks of about ``_SCORE_CHUNK`` units; one ``_ChunkFeaturizer``
+  codes each chunk's n-grams in numpy, each pass counts the chunk with one
   ``np.unique``, and every score equals the base's ``score`` of that text,
   bit for bit.
 * Every other base takes two batches: all groups of all documents in one
@@ -47,7 +48,7 @@ from .detectors import (
     Detector,
     NGramLogRegModel,
     TrainConfig,
-    _count_ids,
+    _ChunkFeaturizer,
     bin_log_likelihood,
     grad_update,
     score_batch,
@@ -122,37 +123,32 @@ def _score_once(base, doc: Document, cfg: FilterConfig) -> tuple[float, Retentio
     return base.score_two_pass(group_texts(doc, subseq), cfg)
 
 
-def _featurized_chunks(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterConfig):
-    """Pass-1 features for a logistic base, in chunks that give neither pass
-    more than about ``_SCORE_CHUNK`` texts to count.
+def _cut(doc: Document, cfg: FilterConfig) -> tuple:
+    """A ``(doc, groups, text, cuts)`` row.  A document with a non-zero
+    budget is cut into pieces, gap, group, gap, ..., group, gap, whose cuts
+    all touch whitespace, so each odd piece's n-grams are its group's; one
+    with a zero budget has no cuts."""
+    groups = group_subsequences(doc, cfg.k)
+    if not cfg.budget(len(groups)):
+        return doc, groups, doc.text, None
+    spans = doc.sentences
+    cuts = [0, *(c for lo, hi in groups for c in (spans[lo].start, spans[hi - 1].end)), len(doc.text)]
+    return doc, groups, doc.text, cuts
 
-    A document with a non-zero budget is featurized once, by one
-    ``_cut_ids`` call that cuts its text into pieces, gap, group, gap, ...,
-    group, gap, whose cuts all touch whitespace, so each odd piece's ids
-    are its group's.  Yields, per chunk, a ``(doc, groups, ids)`` row per
-    document, ids being the whole text's (None for a zero budget), and the
-    ``_count_ids`` block of the groups of every document with a non-zero
-    budget, with their lengths.
+
+def _featurized_chunks(featurize: _ChunkFeaturizer, docs: Sequence[Document], cfg: FilterConfig):
+    """Pass 1 for a logistic base, in chunks of about ``_SCORE_CHUNK`` units
+    or documents, which bounds what either pass featurizes at once.
+
+    Yields, per chunk, its ``(row, parts)`` pairs of ``_cut`` rows; the
+    counted block of the groups of every document with a non-zero budget,
+    with their lengths; and the keys of every n-gram of those documents'
+    texts, each owned by its row's position.
     """
-    rows, ids, sizes, lengths = [], [], [], []
-    for i, doc in enumerate(docs, 1):
-        groups = group_subsequences(doc, cfg.k)
-        doc_ids = None
-        if cfg.budget(len(groups)):
-            spans = doc.sentences
-            cuts = [0]
-            for lo, hi in groups:
-                cuts += spans[lo].start, spans[hi - 1].end
-            cuts.append(len(doc.text))
-            doc_ids, pieces = model._cut_ids(doc.text, cuts)
-            for group_ids in pieces:
-                ids += group_ids
-                sizes.append(len(group_ids))
-            lengths += (b - a for a, b in zip(cuts[1::2], cuts[2::2]))
-        rows.append((doc, groups, doc_ids))
-        if max(len(sizes), len(rows)) >= _SCORE_CHUNK or i == len(docs):
-            yield rows, (*_count_ids(ids, sizes, model.hash_buckets), lengths)
-            rows, ids, sizes, lengths = [], [], [], []
+    for chunk in featurize.chunks((_cut(doc, cfg) for doc in docs), _SCORE_CHUNK):
+        text_keys, group_keys = featurize([() if cuts is None else parts for (*_, cuts), parts in chunk])
+        lengths = [b - a for (*_, cuts), _ in chunk if cuts for a, b in zip(cuts[1::2], cuts[2::2])]
+        yield chunk, (*featurize.count(group_keys, len(lengths)), lengths), text_keys
 
 
 def _score_logreg(
@@ -160,22 +156,28 @@ def _score_logreg(
 ) -> list[tuple[float, RetentionMask]]:
     """Both passes for a logistic base, one ``np.unique`` per pass and chunk.
 
-    A document that keeps every group is scored from its pass-1 ids; one
-    that drops a group, or has a zero budget, featurizes its retained text.
+    A document that keeps every group is counted from its pass-1 n-grams;
+    one that drops a group, or has a zero budget, featurizes its retained
+    text.
     """
+    featurize = _ChunkFeaturizer(model)
     out: list[tuple[float, RetentionMask]] = []
-    for rows, block in _featurized_chunks(model, docs, cfg):
+    for chunk, block, text_keys in _featurized_chunks(featurize, docs, cfg):
         scores = iter(map(sigmoid, model._logits(*block)))
-        ids, sizes, lengths, masks = [], [], [], []
-        for doc, groups, doc_ids in rows:
-            text, mask = _retain(doc, groups, None if doc_ids is None else list(islice(scores, len(groups))), cfg)
-            if doc_ids is None or not all(mask):
-                doc_ids = model._ids(text)
-            ids += doc_ids
-            sizes.append(len(doc_ids))
-            lengths.append(len(text))
-            masks.append(mask)
-        out += zip(map(sigmoid, model._logits(*_count_ids(ids, sizes, model.hash_buckets), lengths)), masks)
+        retained = [
+            _retain(doc, groups, None if cuts is None else list(islice(scores, len(groups))), cfg)
+            for (doc, groups, _, cuts), _ in chunk
+        ]
+        redo, texts = [], []
+        for i, (((*_, cuts), parts), (text, mask)) in enumerate(zip(chunk, retained)):
+            if cuts is None or not all(mask):
+                redo.append(i)
+                texts.append(parts if cuts is None else featurize.parts(text))
+        reused = np.ones(len(chunk), dtype=bool)
+        reused[redo] = False
+        keys = np.concatenate([text_keys[reused[text_keys // model.hash_buckets]], featurize(texts, redo)[0]])
+        logits = model._logits(*featurize.count(keys, len(chunk)), [len(text) for text, _ in retained])
+        out += zip(map(sigmoid, logits), (mask for _, mask in retained))
     return out
 
 
@@ -243,18 +245,19 @@ def _epoch_batches(
 
 def _estep_store(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterConfig) -> tuple:
     """Every document's pass-1 block, featurized once per training run, since
-    hashed features never depend on the weights.  Returns one ``_count_ids``
+    hashed features never depend on the weights.  Returns one counted
     block of all their groups, as arrays (idx and counts as uint32: a count
     of 2**32 would need a group of 4 G units), and ``first``: document i owns
     groups ``first[i]`` to ``first[i + 1]``, none when its budget is zero."""
     idx, counts, bounds, lengths, n_groups = [], [], [0], [], [0]
-    for rows, (chunk_idx, chunk_counts, chunk_bounds, chunk_lengths) in _featurized_chunks(model, docs, cfg):
+    chunks = _featurized_chunks(_ChunkFeaturizer(model), docs, cfg)
+    for rows, (chunk_idx, chunk_counts, chunk_bounds, chunk_lengths), _ in chunks:
         idx.append(chunk_idx.astype(np.uint32))
         counts.append(chunk_counts.astype(np.uint32))
         start = bounds.pop()
         bounds += (start + b for b in chunk_bounds)
         lengths += chunk_lengths
-        n_groups += (0 if doc_ids is None else len(groups) for _, groups, doc_ids in rows)
+        n_groups += (0 if cuts is None else len(groups) for (_, groups, _, cuts), _ in rows)
     block = (np.concatenate(idx), np.concatenate(counts), np.array(bounds), np.array(lengths))
     return block, np.cumsum(n_groups)
 

@@ -625,9 +625,9 @@ def launches(log) -> list[list[str]]:
 
 @pytest.fixture(scope="module")
 def chunked_corpus_path(tmp_path_factory):
-    """200 documents whose groups at --k 1 outnumber a logistic scoring chunk."""
+    """200 documents whose word tokens outnumber a logistic scoring chunk's units."""
     docs = synth_corpus(SynthSpec(n_docs=200, seed=12, sentences_per_doc=(6, 8)))
-    assert sum(doc.n_sentences for doc in docs) > detectors._SCORE_CHUNK
+    assert sum(len(detectors.tokenize(doc.text)) for doc in docs) > detectors._SCORE_CHUNK
     path = tmp_path_factory.mktemp("chunked") / "corpus.jsonl"
     save_corpus(str(path), docs)
     return str(path)

@@ -32,10 +32,11 @@ from mgtstack import (
     load_model,
     save_model,
     score_batch,
+    score_corpus,
     sigmoid,
     tokenize,
 )
-from mgtstack import detectors
+from mgtstack import detectors, stacked
 
 
 def ref_hash64(data: bytes, seed: int) -> int:
@@ -214,15 +215,34 @@ def fresh_bucket_memos():
     detectors._bucket_memo.cache_clear()  # drop the memos built under a patched cap
 
 
+class PerText:
+    """A logistic model behind the bare detector contract, so the engine
+    scores it text by text through ``hashed_features``."""
+
+    def __init__(self, model: NGramLogRegModel) -> None:
+        self.score = model.score
+
+
 def test_bucket_memo_bound_changes_nothing(monkeypatch, fresh_bucket_memos):
     monkeypatch.setattr(detectors, "_BUCKET_MEMO_KEYS", 3)
+    # Chunks of about 4 units make the batch routes' coders pass the bound,
+    # and start over, between most chunks.
+    monkeypatch.setattr(detectors, "_SCORE_CHUNK", 4)
+    monkeypatch.setattr(stacked, "_SCORE_CHUNK", 4)
     texts = ["İstanbul straße ﬁne day", "a b c d e f g", "", "the ﬁne straße again and again"]
+    docs = [Document.from_text(str(i), f"{t}. Then ﬁne straße. And a b c. End {t}!") for i, t in enumerate(texts)]
+    cfg = FilterConfig(r_e=0.3, tau=0.5, k=1)
     for mode in ("word", "char"):
         for buckets, seed in ((7, 0), (2**18, 5)):
             for text in texts * 2:
                 got = hashed_features.__wrapped__(text, mode, 3, buckets, seed)
                 assert pairs(got) == reference_hashed_features(text, mode, 3, buckets, seed)
                 assert len(detectors._bucket_memo(buckets, seed)) <= 3
+            weights = np.resize(np.random.default_rng(seed).normal(0.0, 0.5, 16), buckets)
+            model = NGramLogRegModel(3, mode, buckets, weights, 0.1, seed)
+            assert model.score_batch(texts * 2) == [model.score(t) for t in texts * 2]
+            expected = [(r.score, r.mask) for r in score_corpus(PerText(model), docs * 2, cfg)]
+            assert [(r.score, r.mask) for r in score_corpus(model, docs * 2, cfg)] == expected
     assert len(detectors._bucket_memo(7, 0)) == 3
 
 

@@ -34,7 +34,7 @@ from mgtstack import (
     train_plain,
 )
 
-from mgtstack.detectors import _BOS, _bucket_ids, _bucket_memo, _units
+from mgtstack.detectors import _BOS, _ChunkFeaturizer, hashed_features
 from mgtstack.retention import compute_mask
 from mgtstack.segmentation import group_subsequences, group_texts, reconstruct
 from mgtstack import stacked
@@ -387,22 +387,49 @@ def gapped_docs(draw):
     return Document("g", text, sentences=tuple(spans))
 
 
+def owner_blocks(idx, counts, bounds) -> list[tuple[list[int], list[int]]]:
+    return [(idx[a:b].tolist(), counts[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+
 @settings(max_examples=300, deadline=None)
-@given(doc=gapped_docs(), feature_mode=st.sampled_from(["word", "char"]), n=st.integers(1, 3), k=st.integers(1, 3))
-def test_cut_ids_of_a_group_piece_are_the_groups_own(doc, feature_mode, n, k):
-    # Cut where the logistic route cuts, at group boundaries: the whole
-    # text's ids are its own, and each group's piece holds, as a multiset,
-    # the ids of the group's text.
+@given(
+    docs=st.lists(gapped_docs(), min_size=1, max_size=4),
+    feature_mode=st.sampled_from(["word", "char"]),
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+)
+def test_chunk_featurizer_blocks_are_each_texts_and_groups_own(docs, feature_mode, n, k):
+    # Cut where the logistic route cuts, at group boundaries, and featurize
+    # the documents in one chunk: each document's block is its own text's
+    # features, and each group's block its own text's, so no n-gram crosses
+    # a document or leaves a group.
     model = NGramLogRegModel.new(n, feature_mode, 2**20)
-    memo = _bucket_memo(model.hash_buckets, model.hash_seed)
-    spans = doc.sentences
-    groups = group_subsequences(doc, k)
-    cuts = [0, *(c for lo, hi in groups for c in (spans[lo].start, spans[hi - 1].end)), len(doc.text)]
-    ids, pieces = model._cut_ids(doc.text, cuts)
-    assert ids == _bucket_ids(_units(doc.text, feature_mode), feature_mode, n, memo)
-    assert len(pieces) == len(groups)
-    for a, b, piece in zip(cuts[1::2], cuts[2::2], pieces):
-        assert sorted(piece) == sorted(_bucket_ids(_units(doc.text[a:b], feature_mode), feature_mode, n, memo))
+    featurize = _ChunkFeaturizer(model)
+    cuts, group_spans = [], []
+    for doc in docs:
+        spans = doc.sentences
+        groups = group_subsequences(doc, k)
+        cuts.append([0, *(c for lo, hi in groups for c in (spans[lo].start, spans[hi - 1].end)), len(doc.text)])
+        group_spans += [(doc.text, a, b) for a, b in zip(cuts[-1][1::2], cuts[-1][2::2])]
+    text_keys, group_keys = featurize([featurize.parts(doc.text, c) for doc, c in zip(docs, cuts)])
+
+    def own(text):  # __wrapped__ skips the text-level cache
+        return tuple(a.tolist() for a in hashed_features.__wrapped__(text, feature_mode, n, 2**20, 0))
+
+    assert owner_blocks(*featurize.count(text_keys, len(docs))) == [own(doc.text) for doc in docs]
+    got = owner_blocks(*featurize.count(group_keys, len(group_spans)))
+    assert got == [own(text[a:b]) for text, a, b in group_spans]
+
+
+def test_logreg_batch_routes_stay_off_the_text_cache(engine_corpus):
+    # Held-out scoring never reads or fills hashed_features' cache, whose
+    # counters perfbench reads as the hit ratio of training.
+    docs, _ = engine_corpus
+    model = NGramLogRegModel(2, "word", 64, np.random.default_rng(3).normal(size=64), 0.1)
+    before = hashed_features.cache_info()
+    model.score_batch([doc.text for doc in docs])
+    score_corpus(model, docs, FilterConfig(r_e=0.3, tau=0.5, k=1))
+    assert hashed_features.cache_info() == before
 
 
 @settings(max_examples=300, deadline=None)
