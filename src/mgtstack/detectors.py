@@ -23,6 +23,7 @@ import logging
 import math
 import re
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -45,10 +46,10 @@ from .segmentation import Document
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
-# Every ASCII character _TOKEN_RE does not match, mapped to a space, so the
-# tokens of an ASCII text are the words str.split() finds after translate.
-# The '?' that stands in for each non-ASCII character is one of them.
-_ASCII_BREAKS = str.maketrans({c: " " for c in map(chr, range(128)) if not _TOKEN_RE.match(c)})
+# Every byte _TOKEN_RE does not match, mapped to a space, so the tokens of an
+# ASCII text are the words str.split() finds after translate (on bytes, which
+# costs less per call than on str).  The '?' for a non-ASCII character is one.
+_ASCII_BREAKS = bytes(c if _TOKEN_RE.match(chr(c)) else 32 for c in range(256))
 _BOS = "\x02"  # context padding marker; the tokenizer can never emit it
 _NGRAM_SEP = "\x1f"
 
@@ -103,7 +104,7 @@ def tokenize(text: str) -> list[str]:
 
 def _fold(text: str) -> str:
     # The casefolded text with every character that is not [a-z0-9'] a space.
-    return text.casefold().encode("ascii", "replace").decode("ascii").translate(_ASCII_BREAKS)
+    return text.casefold().encode("ascii", "replace").translate(_ASCII_BREAKS).decode("ascii")
 
 
 # --------------------------------------------------------------------------
@@ -523,15 +524,24 @@ class TrainConfig:
 # n-gram language-model likelihood-ratio detector
 
 
-def _class_terms(ngrams: dict[tuple[str, ...], int], lam: float):
+def _ngram_keys(tokens: Sequence[str], n: int, context: Sequence[str] = ()) -> Iterable[str]:
+    """Each token's order-n key, in order: it and its n-1 predecessors, taken
+    from ``context`` (the tokens before) and then BOS markers, joined by
+    ``_NGRAM_SEP``.  A unigram's key is its token."""
+    if n == 1:
+        return tokens
+    padded = ([_BOS] * (n - 1) + list(context[1 - n :]))[1 - n :] + list(tokens)
+    return map(_NGRAM_SEP.join, zip(*(padded[j:] for j in range(n))))
+
+
+def _class_terms(ngrams: dict[str, int], lam: float):
     """One class's add-lambda term log P(w|ctx) = log(c(ctx,w)+lam) - log(c(ctx)+lam*V),
-    V the distinct observed tokens + 1 slot for unseen, as a function of
-    c(ctx,w) and ctx; and the contexts the class has seen."""
-    contexts: dict[tuple[str, ...], int] = {}
-    vocab: set[str] = set()
+    V the distinct observed tokens + 1 slot for unseen, as a function of c(ctx,w)
+    and ctx (a key before its last separator); and the contexts the class has seen."""
+    contexts: Counter[str] = Counter()
     for gram, c in ngrams.items():
-        contexts[gram[:-1]] = contexts.get(gram[:-1], 0) + c
-        vocab.add(gram[-1])
+        contexts[gram.rpartition(_NGRAM_SEP)[0]] += c
+    vocab = {gram.rpartition(_NGRAM_SEP)[2] for gram in ngrams}
     lam_v, log, ctx_count = lam * (len(vocab) + 1), math.log, contexts.get
     return (lambda count, ctx: log(count + lam) - log(ctx_count(ctx, 0) + lam_v)), contexts
 
@@ -546,24 +556,19 @@ class _TermTable(dict):
     def __init__(self, lm: NGramLMDetector) -> None:
         self.n, machine, human = lm.n, lm.machine, lm.human
         (m_term, m_ctx), (h_term, h_ctx) = _class_terms(machine, lm.lam), _class_terms(human, lm.lam)
-        grams = machine.keys() | human.keys()
-        super().__init__({g: (m_term(machine.get(g, 0), g[:-1]), h_term(human.get(g, 0), g[:-1])) for g in grams})
+        for gram in machine.keys() | human.keys():
+            ctx = gram.rpartition(_NGRAM_SEP)[0]
+            self[gram] = m_term(machine.get(gram, 0), ctx), h_term(human.get(gram, 0), ctx)
         self.unseen = {ctx: (m_term(0, ctx), h_term(0, ctx)) for ctx in m_ctx.keys() | h_ctx.keys()}
         self.unseen_default = (m_term(0, None), h_term(0, None))  # no context is None
 
-    def __missing__(self, gram: tuple[str, ...]) -> tuple[float, float]:
-        return self.unseen.get(gram[:-1], self.unseen_default)
+    def __missing__(self, gram: str) -> tuple[float, float]:
+        return self.unseen.get(gram.rpartition(_NGRAM_SEP)[0], self.unseen_default)
 
     def terms(self, tokens: Sequence[str], context: Sequence[str] = ()) -> list[tuple[float, float]]:
         """The (machine, human) terms of each token given its n-1 predecessors,
-        in order.  The first tokens' predecessors come from ``context`` (the
-        text before ``tokens``), padded with BOS markers where it runs out."""
-        m = self.n - 1
-        if not m:  # nothing to pad: skipping the copies nearly halves a unigram call's cost
-            return list(map(self.__getitem__, zip(tokens)))
-        history = [_BOS] * m + list(context[len(context) - m :])
-        padded = history[len(history) - m :] + list(tokens)
-        return list(map(self.__getitem__, zip(*(padded[j:] for j in range(self.n)))))
+        in order, ``context`` as in ``_ngram_keys``."""
+        return list(map(self.__getitem__, _ngram_keys(tokens, self.n, context)))
 
 
 def _running_sum(values: Iterable[float], start: float = 0.0) -> float:
@@ -593,14 +598,8 @@ def _lr_score(pairs: Iterable[tuple[float, float]], length: int) -> float:
     return sigmoid((machine - human) / math.sqrt(length))
 
 
-def _count_ngrams(docs: Iterable[Document], n: int) -> dict[tuple[str, ...], int]:
-    counts: dict[tuple[str, ...], int] = {}
-    for doc in docs:
-        padded = [_BOS] * (n - 1) + tokenize(doc.text)
-        for i in range(n - 1, len(padded)):
-            gram = tuple(padded[i - n + 1 : i + 1])
-            counts[gram] = counts.get(gram, 0) + 1
-    return counts
+def _count_ngrams(docs: Iterable[Document], n: int) -> dict[str, int]:
+    return dict(Counter(chain.from_iterable(_ngram_keys(tokenize(doc.text), n) for doc in docs)))
 
 
 @dataclass(frozen=True)
@@ -613,12 +612,16 @@ class NGramLMDetector:
     text length, so one threshold means the same thing for a 3-sentence group
     and a full document, and paragraph-length inputs do not pin the sigmoid
     to exactly 0 or 1.  The raw sum is available via log_ratio.
+
+    ``machine`` and ``human`` count each class's n-grams by the key the model
+    file stores: its n tokens joined by ``"\\x1f"``, BOS markers (``"\\x02"``)
+    standing for tokens before the text; a unigram's key is its token.
     """
 
     n: int
     lam: float
-    machine: dict[tuple[str, ...], int]  # n-gram counts of each class
-    human: dict[tuple[str, ...], int]
+    machine: dict[str, int]  # n-gram counts of each class
+    human: dict[str, int]
     # Both classes' terms of every n-gram either has seen.  Derived from the
     # counts: not in eq, repr or pickle.
     _memo: _TermTable = field(init=False, repr=False, compare=False)
@@ -631,10 +634,10 @@ class NGramLMDetector:
         object.__setattr__(self, "lam", lam)
         for counts in (self.machine, self.human):
             if not isinstance(counts, dict) or not all(
-                type(c) is int and c >= 0 and type(g) is tuple and len(g) == self.n and all(type(t) is str for t in g)
+                type(c) is int and c >= 0 and type(g) is str and g.count(_NGRAM_SEP) == self.n - 1
                 for g, c in counts.items()
             ):
-                raise InvalidConfig(f"n-gram counts must map {self.n}-tuples of str to ints >= 0")
+                raise InvalidConfig(f"n-gram counts must map str keys of {self.n} tokens to ints >= 0")
         object.__setattr__(self, "_memo", _TermTable(self))
 
     def __reduce__(self) -> tuple:
@@ -775,14 +778,6 @@ class ExternalDetector:
 # model persistence
 
 
-def _lm_counts_to_json(ngrams: dict[tuple[str, ...], int]) -> dict[str, int]:
-    return {_NGRAM_SEP.join(gram): c for gram, c in sorted(ngrams.items())}
-
-
-def _lm_counts_from_json(raw: dict[str, int]) -> dict[tuple[str, ...], int]:
-    return {tuple(key.split(_NGRAM_SEP)): c for key, c in raw.items()}
-
-
 def save_model(model: NGramLogRegModel | NGramLMDetector, path: str) -> None:
     """Write a model to a versioned, self-describing JSON file.
 
@@ -790,9 +785,7 @@ def save_model(model: NGramLogRegModel | NGramLMDetector, path: str) -> None:
     load(save(m)) round trip reproduces every score bit for bit.
     """
     if isinstance(model, NGramLogRegModel):
-        payload = {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
+        fields = {
             "kind": "ngram_logreg",
             "feature_mode": model.feature_mode,
             "n": model.n,
@@ -805,17 +798,16 @@ def save_model(model: NGramLogRegModel | NGramLMDetector, path: str) -> None:
             ).decode("ascii"),
         }
     elif isinstance(model, NGramLMDetector):
-        payload = {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
+        fields = {
             "kind": "ngram_lm",
             "n": model.n,
             "lambda": model.lam,
-            "machine_ngrams": _lm_counts_to_json(model.machine),
-            "human_ngrams": _lm_counts_to_json(model.human),
+            "machine_ngrams": model.machine,
+            "human_ngrams": model.human,
         }
     else:
         raise InvalidConfig(f"cannot save model of type {type(model).__name__}")
+    payload = {"format": MODEL_FORMAT, "version": MODEL_VERSION, **fields}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
@@ -853,12 +845,7 @@ def load_model(path: str) -> NGramLogRegModel | NGramLMDetector:
                 hash_seed=payload["hash_seed"],
             )
         if kind == "ngram_lm":
-            return NGramLMDetector(
-                payload["n"],
-                payload["lambda"],
-                machine=_lm_counts_from_json(payload["machine_ngrams"]),
-                human=_lm_counts_from_json(payload["human_ngrams"]),
-            )
+            return NGramLMDetector(payload["n"], payload["lambda"], payload["machine_ngrams"], payload["human_ngrams"])
     except (KeyError, TypeError, ValueError, AttributeError, InvalidConfig) as exc:
         raise ModelFormatError(f"model file {path!r} is missing or corrupt fields: {exc}") from None
     raise ModelFormatError(f"unknown model kind {kind!r}")

@@ -270,7 +270,9 @@ def evaluate_scores(
 
 
 def require_labels(docs: Sequence[Document]) -> list[int]:
-    """The documents' labels; raises DegenerateDataset naming the first unlabeled one."""
+    """The documents' labels; raises DegenerateDataset for no documents or an unlabeled one."""
+    if not docs:
+        raise DegenerateDataset("corpus is empty")
     for doc in docs:
         if doc.label is None:
             raise DegenerateDataset(f"corpus has unlabeled documents (first: {doc.id!r})")

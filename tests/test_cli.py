@@ -213,6 +213,16 @@ def test_detect_empty_corpus(capsys, model_path, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("stacked", [[], ["--stacked"]], ids=["base", "stacked"])
+def test_eval_empty_corpus_is_data_error(capsys, model_path, tmp_path, stacked):
+    # As for train and bench: an empty corpus is the data's fault.
+    path = tmp_path / "empty.jsonl"
+    save_corpus(str(path), [])
+    code, out, err = run(capsys, ["eval", "--corpus", str(path), "--model", model_path, *stacked])
+    assert (code, out) == (3, "")
+    assert "data error: corpus is empty" in err
+
+
 def test_detect_training_free_flag(capsys, corpus_path, model_path):
     code, out, _ = run(
         capsys,

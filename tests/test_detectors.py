@@ -690,7 +690,7 @@ def test_lm_term_tables_stay_out_of_model_identity(tmp_path):
     ]
     det = NGramLMDetector.fit(docs, n=2, lam=0.1)
     # The one table stores the n-grams each class alone has seen.
-    assert ("hh", "nn") in det._memo and ("mm", "nn") in det._memo
+    assert "hh\x1fnn" in det._memo and "mm\x1fnn" in det._memo
     path = tmp_path / "lm.json"
     save_model(det, str(path))
     saved, shown, pickled = path.read_bytes(), repr(det), pickle.dumps(det)
@@ -746,18 +746,24 @@ def test_lm_fit_validation():
         NGramLMDetector.fit(lm_corpus(), lam=True)
     with pytest.raises(InvalidConfig):
         NGramLMDetector.fit(lm_corpus(), n="2")
-    # The constructor checks what fit and load_model hand it.
+    # The constructor checks what fit and load_model hand it: keys are str
+    # with n - 1 separators, counts are ints >= 0, tables are dicts.  Each
+    # case breaks one rule of one of these valid models.
+    NGramLMDetector(1, 0.1, {"a": 2}, {"b": 1})
+    NGramLMDetector(2, 0.1, {"a\x1fb": 2}, {"b\x1fa": 1})
     for n, lam, machine, human in [
-        (2, 0.1, {("a",): 2}, {("b",): 1}),  # keys shorter than n never match, so all texts score 0.5
-        (1, 0.1, {("a",): -3}, {("b",): 1}),
-        (1, 0.1, {("a",): 3.5}, {("b",): 1}),
-        (1, 0.1, {("a",): True}, {("b",): 1}),
-        (1, 0.1, {"a": 2}, {("b",): 1}),
-        (1, 0.1, {(1,): 2}, {("b",): 1}),
-        (1, 0.1, {("a",): 2}, [(("b",), 1)]),
-        (1, "0.1", {("a",): 2}, {("b",): 1}),
-        (1, math.inf, {("a",): 2}, {("b",): 1}),
-        (1, 10**400, {("a",): 2}, {("b",): 1}),
+        (2, 0.1, {"a": 2}, {"b\x1fa": 1}),  # too few separators: never matches, all texts score 0.5
+        (2, 0.1, {"a\x1fb": 2}, {"b\x1fa\x1fb": 1}),  # too many
+        (1, 0.1, {"a\x1fb": 2}, {"b": 1}),  # a unigram key containing the separator
+        (1, 0.1, {("a",): 2}, {"b": 1}),  # the old tuple key
+        (1, 0.1, {1: 2}, {"b": 1}),
+        (1, 0.1, {"a": -3}, {"b": 1}),
+        (1, 0.1, {"a": 3.5}, {"b": 1}),
+        (1, 0.1, {"a": True}, {"b": 1}),
+        (1, 0.1, {"a": 2}, [("b", 1)]),
+        (1, "0.1", {"a": 2}, {"b": 1}),
+        (1, math.inf, {"a": 2}, {"b": 1}),
+        (1, 10**400, {"a": 2}, {"b": 1}),
     ]:
         with pytest.raises(InvalidConfig):
             NGramLMDetector(n, lam, machine, human)

@@ -308,6 +308,23 @@ def test_document_from_text_splits():
     assert doc.label == 1
 
 
+def test_document_equality_and_hash():
+    # Equal iff id, text, label and spans agree; comparing splits unread
+    # spans; the hash leaves spans out.
+    text = "One zz. Two qq."
+    spans = (Span(0, 7), Span(8, 15))
+    lazy = Document.from_text("d", text, label=1)
+    given_spans = Document("d", text, 1, sentences=spans)
+    assert "sentences" not in vars(lazy)
+    assert lazy == given_spans and hash(lazy) == hash(given_spans)
+    assert vars(lazy)["sentences"] == spans
+    one_span = Document("d", text, 1, sentences=(Span(0, 15),))
+    assert one_span != given_spans and hash(one_span) == hash(given_spans)
+    others = [("e", text, 1), ("d", "One zz. Two qq!", 1), ("d", text, 0), ("d", text, None)]
+    assert all(Document(*fields) != given_spans for fields in others)
+    assert given_spans != ("d", text, 1, spans)  # only a Document equals a Document
+
+
 def test_document_empty_raises():
     with pytest.raises(EmptyDocument):
         Document.from_text("d", "  ")

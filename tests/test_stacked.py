@@ -260,21 +260,18 @@ HYP_LMS = {
 
 
 def reference_terms(n, lam, counts, tokens, context=()):
-    """Per-token terms of one class's raw n-gram counts, computed one position
-    at a time: P(w|ctx) = (c(ctx,w)+lam)/(c(ctx)+lam*V), V = vocabulary + 1."""
-    m = n - 1
-    history = [_BOS] * m + list(context[len(context) - m :])
-    padded = history[len(history) - m :] + list(tokens)
-    lam_v = lam * (len({gram[-1] for gram in counts}) + 1)
+    """Per-token terms of one class's raw n-gram counts, keyed by their
+    tokens joined by "\x1f", computed one position at a time:
+    P(w|ctx) = (c(ctx,w)+lam)/(c(ctx)+lam*V), V = vocabulary + 1."""
+    padded = [_BOS] * (n - 1) + list(context) + list(tokens)
+    lam_v = lam * (len({key.split("\x1f")[-1] for key in counts}) + 1)
     log = math.log
-
-    def context_count(ctx):
-        return sum(c for gram, c in counts.items() if gram[:-1] == ctx)
-
-    return [
-        log(counts.get(gram, 0) + lam) - log(context_count(gram[:-1]) + lam_v)
-        for gram in zip(*(padded[j:] for j in range(n)))
-    ]
+    terms = []
+    for i in range(len(padded) - len(tokens), len(padded)):
+        ctx = padded[i - n + 1 : i]
+        ctx_count = sum(c for key, c in counts.items() if key.split("\x1f")[:-1] == ctx)
+        terms.append(log(counts.get("\x1f".join(ctx + [padded[i]]), 0) + lam) - log(ctx_count + lam_v))
+    return terms
 
 
 # Every token the fit documents hold, some seen by one class only

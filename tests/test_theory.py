@@ -275,6 +275,26 @@ def test_lr_mixture_matches_manual_factorization():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def test_lr_mixture_of_all_human_like_positions_is_zero():
+    # Every position human-like (k = n): M is H, so the statistic is 0, as
+    # the exact score and the enumeration oracle agree.
+    w = categorical_world(0.5)
+    values = np.random.default_rng(3).integers(0, 2, size=(6, 5))
+    got = theory._lr_scores(values, w, 5, "mixture")
+    assert got.tolist() == [0.0] * 6
+    assert theory._lr_scores(values, w, 5, "exact") == pytest.approx(got, abs=1e-12)
+    assert enumeration_lr(values[0], w, 5) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_filtering_down_to_human_like_sentences_scores_at_chance():
+    # n = 20, alpha = 0.9: 18 human-like and 2 machine sentences, and
+    # alpha_h = 0.1 removes the 2.  The 18 kept are all human-like, so both
+    # classes score 0 and the AUROC is exactly 0.5.
+    cfg = SimConfig(categorical_world(0.5), MixSpec(n=20, alpha=0.9), FilterSpec(alpha_h=0.1), trials=200)
+    (row,) = run_experiment(cfg)
+    assert (row["score_mode"], row["auroc"], row["ci_lo"], row["ci_hi"]) == ("mixture", 0.5, 0.5, 0.5)
+
+
 def test_lr_auto_mode_switches_at_exact_limit():
     w = categorical_world(0.5)
     rng = np.random.default_rng(7)
