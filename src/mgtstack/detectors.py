@@ -26,7 +26,7 @@ import subprocess
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     _check_int,
     _real,
 )
-from .retention import FilterConfig, RetentionMask, compute_mask
+from .retention import FilterConfig
 from .segmentation import Document
 
 logger = logging.getLogger(__name__)
@@ -174,6 +174,21 @@ def _units(text: str, feature_mode: str) -> Sequence[str]:
     return tokenize(text) if feature_mode == "word" else text.casefold()
 
 
+def _pieces(text: str, cuts: Sequence[int] | None, feature_mode: str) -> list[Sequence[str]]:
+    """The units of each piece that ``cuts`` (offsets from 0 to ``len(text)``)
+    cut the text into, or of the whole text.  Units are found character by
+    character, so when every cut touches whitespace, the pieces' units run
+    together are the text's."""
+    if cuts is None:
+        return [_units(text, feature_mode)]
+    word = feature_mode == "word"
+    folded = _fold(text) if word else text.casefold()
+    if len(folded) == len(text):
+        return [folded[a:b].split() if word else folded[a:b] for a, b in zip(cuts, cuts[1:])]
+    # Some character folds to several, so the cuts miss: fold each piece.
+    return [_units(text[a:b], feature_mode) for a, b in zip(cuts, cuts[1:])]
+
+
 def _bucket_ids(units: Sequence[str], feature_mode: str, n: int, memo: _BucketMemo) -> list[int]:
     """The bucket id of every n-gram of orders 1..n of ``units``, unsorted and
     repeated, order by order and then by first unit; the one featurizer of
@@ -260,21 +275,9 @@ class _ChunkFeaturizer:
             self.coders.append(_GramCoder(self.coders[-1], self.coders[0], join))
 
     def parts(self, text: str, cuts: Sequence[int] | None = None) -> list[list[int]]:
-        """The unit codes of each piece that ``cuts`` (offsets from 0 to
-        ``len(text)``) cut the text into, or of the whole text.  Units are
-        found character by character, so when every cut touches whitespace,
-        the pieces' units run together are the text's."""
-        if cuts is None:
-            pieces = [_units(text, self.feature_mode)]
-        else:
-            word = self.feature_mode == "word"
-            folded = _fold(text) if word else text.casefold()
-            if len(folded) == len(text):
-                pieces = [folded[a:b].split() if word else folded[a:b] for a, b in zip(cuts, cuts[1:])]
-            else:  # some character folds to several, so the cuts miss: fold each piece
-                pieces = [_units(text[a:b], self.feature_mode) for a, b in zip(cuts, cuts[1:])]
+        """The unit codes of each of ``_pieces(text, cuts, feature_mode)``."""
         code = self.coders[0].__getitem__
-        return [list(map(code, piece)) for piece in pieces]
+        return [list(map(code, piece)) for piece in _pieces(text, cuts, self.feature_mode)]
 
     def chunks(self, rows: Iterable[tuple], bound: int) -> Iterator[list[tuple]]:
         """``(row, parts)`` for each row, which ends in a text and its cuts
@@ -661,47 +664,10 @@ class NGramLMDetector:
         machine, human = _pair_sums(self._memo.terms(tokenize(text)))
         return machine - human
 
-    def score(self, text: str, *, terms: list | None = None) -> float:
-        """Likelihood-ratio score of ``text``.
-
-        When ``terms`` is a list, ``(tokens, term pairs)`` of the text is
-        appended to it, so a caller can score a concatenation of scored texts
-        without scoring any token again.
-        """
-        tokens = tokenize(text)
-        pairs = self._memo.terms(tokens)
-        if terms is not None:
-            terms.append((tokens, pairs))
+    def score(self, text: str) -> float:
+        """Likelihood-ratio score of ``text``."""
+        pairs = self._memo.terms(tokenize(text))
         return _lr_score(pairs, len(pairs))
-
-    def score_two_pass(self, group_texts: Sequence[str], cfg: FilterConfig) -> tuple[float, RetentionMask]:
-        """Both passes of stacked inference over one document's groups.
-
-        Each group is scored once; the retention rule turns the group scores
-        into the mask.  The retained text's score re-adds the kept groups'
-        terms in order, recomputing only the first n-1 terms of a kept group
-        that follows retained tokens, whose context now reaches into them.
-        The result equals ``score(" ".join(kept group texts))`` bit for bit,
-        and ``score(document text)`` when every group is kept (a
-        :class:`Document`'s text holds only whitespace outside its spans).
-        """
-        groups: list[tuple[list[str], list[tuple[float, float]]]] = []
-        mask = compute_mask([self.score(t, terms=groups) for t in group_texts], cfg)
-        reach = self.n - 1  # tokens whose context can cross a join
-        tail: list[str] = []  # the last n-1 retained tokens
-        kept: list[Iterable[tuple[float, float]]] = []
-        length = 0
-        for (tokens, pairs), bit in zip(groups, mask):
-            if not bit:
-                continue
-            if tail and tokens:
-                head = tokens[:reach]
-                pairs = chain(self._memo.terms(head, tail), islice(pairs, len(head), None))
-            if reach:
-                tail = (tail + tokens[-reach:])[-reach:]
-            kept.append(pairs)
-            length += len(tokens)
-        return _lr_score(chain.from_iterable(kept), length), mask
 
 
 # --------------------------------------------------------------------------

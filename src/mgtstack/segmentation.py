@@ -147,7 +147,8 @@ class Document:
     default) and keeps the result, so a caller that reads only ``text``,
     such as the base detector's scoring, never splits.  A blank text raises
     EmptyDocument at construction, with or without spans, so every document
-    has at least one sentence.  Documents compare equal when their ids,
+    has at least one sentence; an id or text that UTF-8 cannot encode raises
+    InvalidConfig naming the offset.  Documents compare equal when their ids,
     texts, labels and spans are; pickling keeps unread spans unread.
     """
 
@@ -165,6 +166,12 @@ class Document:
             raise InvalidConfig(f"label must be 0, 1 or None, got {self.label!r}")
         if not self.text or self.text.isspace():
             raise EmptyDocument("text contains no sentences")
+        if not (self.id.isascii() and self.text.isascii()):  # ASCII always encodes
+            for name, value in (("id", self.id), ("text", self.text)):
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError as exc:  # a lone surrogate, which no UTF-8 file can hold
+                    raise InvalidConfig(f"document {self.id!r}: {name} is not UTF-8 at offset {exc.start}") from None
         if sentences is None:
             return
         cursor = 0

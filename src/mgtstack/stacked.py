@@ -6,12 +6,13 @@ applies the constrained retention rule to those scores; pass 2 scores the
 retained text.  The latent retention mask is never read from labels, only
 from first-pass scores.  A document with a zero budget skips pass 1 and is
 scored as its own text, so with tau = 0 the wrapper collapses exactly onto
-the base detector.  There are three routes:
+the base detector.  Every route reads one ``_cut`` row per document, which
+says whether the document filters and where its groups lie.  The routes:
 
-* A base with a ``score_two_pass(group_texts, cfg)`` method (the n-gram LM)
-  runs both passes itself, one document at a time: it scores each group
-  once and builds the retained text's score from the kept groups' cached
-  terms, bit for bit equal to scoring the reconstructed text.
+* An :class:`NGramLMDetector` base runs both passes here, one document at a
+  time (``_score_lm``): each group's tokens are looked up once, and the
+  retained text's score is built from the kept groups' terms, bit for bit
+  equal to scoring the reconstructed text.
 * An :class:`NGramLogRegModel` base featurizes each document once: a
   group's n-grams are those of the document inside it, and a document that
   keeps every group is scored from all of them.  Only one that drops a
@@ -20,10 +21,11 @@ the base detector.  There are three routes:
   codes each chunk's n-grams in numpy, each pass counts the chunk with one
   ``np.unique``, and every score equals the base's ``score`` of that text,
   bit for bit.
-* Every other base takes two batches: all groups of all documents in one
-  ``score_batch`` call, then all retained texts in one more, so an adapter
-  is launched once per pass.  A document whose mask keeps every group is
-  rescored as its own text, so degeneration is exact for any base detector.
+* Every other base, a subclass of either built-in detector included, takes
+  two batches: all groups of all documents in one ``score_batch`` call, then
+  all retained texts in one more, so an adapter is launched once per pass.
+  A document whose mask keeps every group is rescored as its own text, so
+  degeneration is exact for any base detector.
 
 Training alternates a hard E-step (pass 1 over the current batch with the
 current parameters) with a single gradient-ascent M-step on the retained
@@ -46,9 +48,12 @@ import numpy as np
 from .detectors import (
     _SCORE_CHUNK,
     Detector,
+    NGramLMDetector,
     NGramLogRegModel,
     TrainConfig,
     _ChunkFeaturizer,
+    _lr_score,
+    _pieces,
     bin_log_likelihood,
     grad_update,
     score_batch,
@@ -56,7 +61,7 @@ from .detectors import (
 )
 from .errors import DegenerateDataset, InvalidConfig
 from .retention import FilterConfig, RetentionMask, compute_mask
-from .segmentation import Document, group_subsequences, group_texts, reconstruct
+from .segmentation import Document, group_subsequences, reconstruct
 
 
 @dataclass(frozen=True)
@@ -82,47 +87,6 @@ def _retain(
     return (doc.text if all(mask) else reconstruct(doc, groups, mask)), mask
 
 
-def first_pass(
-    base: Detector, docs: Sequence[Document], cfg: FilterConfig
-) -> list[tuple[str, RetentionMask]]:
-    """Pass 1 over a corpus: (retained text, mask) for each document.
-
-    Label-agnostic by construction; this is the first batch of the
-    two-batch inference route, and the reference the hard-EM E-step, which
-    scores from its store, matches bit for bit.
-    """
-    groups = [group_subsequences(doc, cfg.k) for doc in docs]
-    filtering = [cfg.budget(len(g)) > 0 for g in groups]
-    texts = [text for doc, g, on in zip(docs, groups, filtering) if on for text in group_texts(doc, g)]
-    scores = iter(score_batch(base, texts))
-    return [
-        _retain(doc, g, list(islice(scores, len(g))) if on else None, cfg)
-        for doc, g, on in zip(docs, groups, filtering)
-    ]
-
-
-def score_corpus(
-    base: Detector, docs: Sequence[Document], cfg: FilterConfig
-) -> list[StackedResult]:
-    """Two-pass stacked scores for a corpus, one result per document, in order."""
-    if type(base) is NGramLogRegModel:  # a subclass may score otherwise
-        scored = _score_logreg(base, docs, cfg)
-    elif getattr(base, "score_two_pass", None) is None:
-        first = first_pass(base, docs, cfg)
-        scored = zip(score_batch(base, [text for text, _ in first]), (mask for _, mask in first))
-    else:
-        # One document at a time, so only its term lists are alive at once.
-        scored = (_score_once(base, doc, cfg) for doc in docs)
-    return [StackedResult(score, len(mask), mask.n_filtered, mask) for score, mask in scored]
-
-
-def _score_once(base, doc: Document, cfg: FilterConfig) -> tuple[float, RetentionMask]:
-    subseq = group_subsequences(doc, cfg.k)
-    if cfg.budget(len(subseq)) == 0:
-        return base.score(doc.text), RetentionMask((1,) * len(subseq))
-    return base.score_two_pass(group_texts(doc, subseq), cfg)
-
-
 def _cut(doc: Document, cfg: FilterConfig) -> tuple:
     """A ``(doc, groups, text, cuts)`` row.  A document with a non-zero
     budget is cut into pieces, gap, group, gap, ..., group, gap, whose cuts
@@ -134,6 +98,68 @@ def _cut(doc: Document, cfg: FilterConfig) -> tuple:
     spans = doc.sentences
     cuts = [0, *(c for lo, hi in groups for c in (spans[lo].start, spans[hi - 1].end)), len(doc.text)]
     return doc, groups, doc.text, cuts
+
+
+def first_pass(
+    base: Detector, docs: Sequence[Document], cfg: FilterConfig
+) -> list[tuple[str, RetentionMask]]:
+    """Pass 1 over a corpus: (retained text, mask) for each document.
+
+    Label-agnostic by construction; this is the first batch of the
+    two-batch inference route, and the reference the hard-EM E-step, which
+    scores from its store, matches bit for bit.
+    """
+    rows = [_cut(doc, cfg) for doc in docs]
+    texts = [text[a:b] for *_, text, cuts in rows if cuts for a, b in zip(cuts[1::2], cuts[2::2])]
+    scores = iter(score_batch(base, texts))
+    return [
+        _retain(doc, groups, None if cuts is None else list(islice(scores, len(groups))), cfg)
+        for doc, groups, _, cuts in rows
+    ]
+
+
+def score_corpus(
+    base: Detector, docs: Sequence[Document], cfg: FilterConfig
+) -> list[StackedResult]:
+    """Two-pass stacked scores for a corpus, one result per document, in order."""
+    if type(base) is NGramLogRegModel:  # by exact type: a subclass may score otherwise
+        scored = _score_logreg(base, docs, cfg)
+    elif type(base) is NGramLMDetector:
+        # One document at a time, so only its term lists are alive at once.
+        scored = (_score_lm(base, doc, cfg) for doc in docs)
+    else:
+        first = first_pass(base, docs, cfg)
+        scored = zip(score_batch(base, [text for text, _ in first]), (mask for _, mask in first))
+    return [StackedResult(score, len(mask), mask.n_filtered, mask) for score, mask in scored]
+
+
+def _score_lm(lm: NGramLMDetector, doc: Document, cfg: FilterConfig) -> tuple[float, RetentionMask]:
+    """Both passes for an n-gram LM base.  Each group's tokens are looked up
+    once; the retained text's score re-adds the kept groups' terms in order,
+    looking up again only the first n-1 tokens of a kept group that follows
+    retained tokens, whose context now reaches into them.  Bit for bit the
+    LM's ``score`` of the retained text, or of the document's text when every
+    group is kept (a Document holds only whitespace outside its spans)."""
+    _, groups, text, cuts = _cut(doc, cfg)
+    if cuts is None:
+        return lm.score(text), RetentionMask((1,) * len(groups))
+    terms = lm._memo.terms
+    tokens = _pieces(text, cuts, "word")[1::2]
+    pairs = [terms(group) for group in tokens]
+    mask = compute_mask([_lr_score(p, len(p)) for p in pairs], cfg)
+    reach = lm.n - 1  # tokens whose context can cross a join
+    tail: list[str] = []  # the last n-1 retained tokens
+    kept: list[tuple[float, float]] = []  # the retained text's term pairs
+    for group, group_pairs, bit in zip(tokens, pairs, mask):
+        if not bit:
+            continue
+        if tail and group:
+            kept += terms(group[:reach], tail)
+            group_pairs = group_pairs[reach:]
+        kept += group_pairs
+        if reach:
+            tail = (tail + group[-reach:])[-reach:]
+    return _lr_score(kept, len(kept)), mask
 
 
 def _featurized_chunks(featurize: _ChunkFeaturizer, docs: Sequence[Document], cfg: FilterConfig):

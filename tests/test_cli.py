@@ -386,6 +386,18 @@ def test_corpus_error_writes_one_stderr_line(capsys, model_path, tmp_path):
     assert err.startswith("mgtstack: corpus error: ") and "line 2" in err
 
 
+def test_lone_surrogate_is_data_error_naming_the_line(capsys, tmp_path):
+    # JSON can spell a lone surrogate, which UTF-8 cannot encode; a char-mode
+    # model hashes its n-grams as UTF-8, so the corpus is refused on load.
+    model = tmp_path / "char.json"
+    save_model(NGramLogRegModel.new(n=2, feature_mode="char", hash_buckets=1024), str(model))
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "ok", "text": "Fine."}\n{"id": "a", "text": "Hello \\ud800 there."}\n', encoding="utf-8")
+    code, out, err = run(capsys, ["detect", "--corpus", str(path), "--model", str(model)])
+    assert (code, out) == (3, "")
+    assert err == "mgtstack: corpus error: line 2: document 'a': text is not UTF-8 at offset 6\n"
+
+
 def test_non_int_label_is_data_error_naming_the_line(capsys, model_path, tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "text": "Ok."}\n{"id": "b", "text": "Ok.", "label": true}\n', encoding="utf-8")

@@ -58,6 +58,7 @@ def test_blank_lines_skipped(tmp_path):
         ('{"id": 5, "text": "   "}', "strings"),
         ('{"id": "x", "text": "   "}', "no sentences"),
         ('{"id": "x", "text": ""}', "no sentences"),
+        ('{"id": "x", "text": "Hi \\udc00 there."}', "not UTF-8 at offset 3"),
         ("[1, 2]", "object"),
     ],
 )

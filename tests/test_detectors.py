@@ -698,7 +698,7 @@ def test_lm_term_tables_stay_out_of_model_identity(tmp_path):
     det.score("qq rr. Ss qq.")  # unseen words only
     assert (len(det._memo), len(det._memo.unseen)) == sizes
     det.score("mm nn hh nn mm")
-    det.score_two_pass(["mm nn.", "hh hh.", "nn mm."], FilterConfig(r_e=0.3, tau=0.5, k=1))
+    score_corpus(det, [Document.from_text("d", "mm nn. hh hh. nn mm.")], FilterConfig(r_e=0.3, tau=0.5, k=1))
     assert det == load_model(str(path))
     assert repr(det) == shown
     assert pickle.dumps(det) == pickled

@@ -337,6 +337,17 @@ def test_document_with_spans_rejects_blank_text(text):
         Document("d", text, sentences=())
 
 
+@pytest.mark.parametrize("make", [Document, Document.from_text])
+@pytest.mark.parametrize("text, offset", [("\ud800", 0), ("Hi \udfff there.", 3), ("Hi. \ud83d", 4)])
+def test_document_rejects_id_or_text_utf8_cannot_encode(make, text, offset):
+    # A lone surrogate could be neither hashed as UTF-8 nor saved.
+    with pytest.raises(InvalidConfig, match=f"document 'd': text is not UTF-8 at offset {offset}$"):
+        make("d", text)
+    with pytest.raises(InvalidConfig, match=f"id is not UTF-8 at offset {offset}$"):
+        make(text, "Hi there.")
+    assert make("d", "Hi 😀 there.").text == "Hi \U0001f600 there."  # a pair is one character
+
+
 def test_document_accepts_hand_built_spans_over_all_words():
     # Spans need not be the splitter's, only cover every non-space character.
     doc = Document("d", " aa bb, cc dd ", sentences=(Span(1, 7), Span(8, 13)))

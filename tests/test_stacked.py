@@ -37,7 +37,7 @@ from mgtstack import (
 from mgtstack.detectors import _BOS, _ChunkFeaturizer, hashed_features
 from mgtstack.retention import compute_mask
 from mgtstack.segmentation import group_subsequences, group_texts, reconstruct
-from mgtstack import stacked
+from mgtstack import detectors, stacked
 from mgtstack.stacked import first_pass
 
 from conftest import MapDetector, make_doc
@@ -231,6 +231,31 @@ def test_score_corpus_matches_per_document_reference(engine_corpus, base_name, t
         assert sum(row[2] for row in got) > 0  # the filter actually engaged
 
 
+class FlippedLM(NGramLMDetector):
+    """An LM subclass that scores otherwise: the built-in routes must not
+    score it from the base LM's terms."""
+
+    def score(self, text):
+        return 1.0 - super().score(text)
+
+
+class FlippedLMWithKeywords(NGramLMDetector):
+    def score(self, text, **kw):
+        return 1.0 - super().score(text, **kw)
+
+
+@pytest.mark.parametrize("cls", [FlippedLM, FlippedLMWithKeywords])
+def test_detector_subclass_takes_the_two_batch_route(engine_corpus, cls):
+    # A subclass is scored by its own score, one batch per pass.
+    docs, bases = engine_corpus
+    lm = bases["lm2"]
+    sub = cls(lm.n, lm.lam, lm.machine, lm.human)
+    cfg = FilterConfig(r_e=0.01, tau=0.5, k=1)
+    got = [(r.score, r.n_groups, r.n_filtered, r.mask.bits) for r in score_corpus(sub, docs, cfg)]
+    assert got == [reference_result(sub, doc, cfg) for doc in docs]
+    assert sum(row[2] for row in got) > 0
+
+
 # Words whose casefold is longer than they are (İ -> i + U+0307, ß -> ss,
 # ﬁ -> fi), so token offsets in the casefolded text drift from the original.
 HYP_WORDS = ["aa", "bb", "cc", "dd", "İstanbul", "Straße", "ﬁne", "don't", "x9"]
@@ -301,7 +326,8 @@ def test_lm_unseen_ngrams_leave_term_tables_unchanged(order):
     text = "qq rr. Ss qq aa! Zz bb cc qq."  # mostly words neither class has seen
     det.score(text)
     det.log_ratio(text)
-    det.score_two_pass(["qq rr.", "Ss qq aa!", "Zz bb cc qq."], FilterConfig(r_e=0.3, tau=0.5, k=1))
+    (got,) = score_corpus(det, [Document.from_text("u", text)], FilterConfig(r_e=0.3, tau=0.5, k=1))
+    assert got.n_groups == 3  # the budget is 1, so pass 1 looks up each group
     assert (len(det._memo), len(det._memo.unseen)) == sizes
 
 
@@ -330,22 +356,51 @@ def test_group_tokens_concatenate_to_document_tokens(doc, k):
 
 @pytest.mark.parametrize("tau, k", [(0.25, 3), (0.5, 1)])
 def test_lm_base_scores_each_group_once_and_no_retained_text(engine_corpus, monkeypatch, tau, k):
-    # A silent fallback to the two-batch route would also score every
-    # retained text, and a kept-everything document's own text.
+    # Every term lookup of the LM route goes through _TermTable.terms.  A
+    # silent fallback to the two-batch route, or a rescore of the retained
+    # text, would look up a retained text, or a kept-everything document's
+    # own text, whole and without context.
     docs, bases = engine_corpus
-    calls: list[str] = []
-    score = NGramLMDetector.score
-    monkeypatch.setattr(NGramLMDetector, "score", lambda self, text, **kw: calls.append(text) or score(self, text, **kw))
+    calls: list[tuple[list[str], list[str]]] = []
+    terms = detectors._TermTable.terms
+
+    def recording_terms(self, tokens, context=()):
+        calls.append((list(tokens), list(context)))
+        return terms(self, tokens, context)
+
     cfg = FilterConfig(tau=tau, k=k)
     expected = []
     for d in docs:
         subseq = group_subsequences(d, k)
         expected += [d.text] if cfg.budget(len(subseq)) == 0 else group_texts(d, subseq)
     assert len(expected) > len(docs)
+    monkeypatch.setattr(detectors._TermTable, "terms", recording_terms)
+    rejoined = 0
     for name in ("lm", "lm2", "lm3"):
         calls.clear()
-        score_corpus(bases[name], docs, cfg)
-        assert calls == expected
+        results = score_corpus(bases[name], docs, cfg)
+        # Each group once, and a zero-budget document whole, with no context.
+        assert [tokens for tokens, context in calls if not context] == [tokenize(t) for t in expected]
+        # Looked up again: only the first n - 1 tokens of a kept group that
+        # follows retained tokens, with the last n - 1 of those as context.
+        heads = [(tokens, context) for tokens, context in calls if context]
+        assert heads == [h for d, r in zip(docs, results) for h in rejoined_heads(d, r, cfg, bases[name].n)]
+        rejoined += len(heads)
+    assert rejoined > 0
+
+
+def rejoined_heads(doc: Document, result, cfg: FilterConfig, n: int) -> list[tuple[list[str], list[str]]]:
+    """(head tokens, context) of each kept group of a filtering document
+    whose first n - 1 tokens follow retained tokens."""
+    if n == 1 or cfg.budget(result.n_groups) == 0:
+        return []
+    heads, retained = [], []
+    for text, bit in zip(group_texts(doc, group_subsequences(doc, cfg.k)), result.mask.bits):
+        tokens = tokenize(text) if bit else []
+        if retained and tokens:
+            heads.append((tokens[: n - 1], retained[1 - n :]))
+        retained += tokens
+    return heads
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
