@@ -21,12 +21,12 @@ fields (epoch wall seconds, bench seconds) are the documented exception.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import logging
 import shlex
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 from .config import load_config_file
@@ -228,7 +228,7 @@ def _cmd_detect(args) -> int:
         n_chunks = min(len(docs), args.jobs * 4)
         step = -(-len(docs) // n_chunks)
         chunks = [docs[i : i + step] for i in range(0, len(docs), step)]
-        pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_detect_init, initargs=(base, fc))
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs, initializer=_detect_init, initargs=(base, fc))
         with pool:
             chunk_rows = list(pool.map(_detect_chunk, chunks))
         rows = [row for rows_ in chunk_rows for row in rows_]

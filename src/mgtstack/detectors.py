@@ -9,6 +9,9 @@ machine-generated.  Three implementations live here:
   n-gram language models (machine vs human);
 * :class:`ExternalDetector`, a line-protocol adapter around any executable.
 
+:func:`score_batch` runs a built-in logistic model's batch route, picked by
+exact type; any other detector is scored by its own ``score_batch`` or ``score``.
+
 Feature hashing uses a fixed keyed 64-bit hash (blake2b), never Python's
 builtin ``hash``, so feature indices are identical across processes and
 platforms.
@@ -67,11 +70,21 @@ class Detector(Protocol):
 
 
 def score_batch(detector: Detector, texts: Sequence[str]) -> list[float]:
-    """Score many texts, using the detector's own batch path when it has one."""
+    """``[detector.score(t) for t in texts]``, through the detector's own
+    ``score_batch`` if it has one.  A built-in logistic model (by exact type:
+    a subclass may score otherwise) goes in chunks, each with one
+    ``_ChunkFeaturizer`` call and one ``np.unique``, bit for bit as its
+    ``score``; this bypasses the text-level cache, which held-out texts
+    hardly ever hit."""
+    if type(detector) is NGramLogRegModel:
+        featurize = _ChunkFeaturizer(detector)
+        scores: list[float] = []
+        for chunk in featurize.chunks((text, None) for text in texts):
+            block = featurize.count(featurize([parts for _, parts in chunk])[0], len(chunk))
+            scores += map(sigmoid, detector._logits(*block, [len(text) for (text, _), _ in chunk]))
+        return scores
     batch = getattr(detector, "score_batch", None)
-    if batch is not None:
-        return list(batch(texts))
-    return [detector.score(t) for t in texts]
+    return list(batch(texts)) if batch is not None else [detector.score(t) for t in texts]
 
 
 def sigmoid(z: float) -> float:
@@ -249,6 +262,14 @@ class _GramCoder:
         return ids, self.buckets[ids]
 
 
+# About the most units (word tokens or characters), and the most texts, that
+# one chunk of a batch route featurizes and counts: a call per chunk keeps
+# numpy's fixed cost off each short text, and the bound keeps the chunk's
+# arrays, and so the allocator's peak, small.  Twice this was slightly faster
+# on short documents but left a higher peak RSS after a training run.
+_SCORE_CHUNK = 2**13
+
+
 class _ChunkFeaturizer:
     """The n-grams of orders 1..n of chunks of texts under one model's
     layout, for one call of a batch route.
@@ -279,12 +300,12 @@ class _ChunkFeaturizer:
         code = self.coders[0].__getitem__
         return [list(map(code, piece)) for piece in _pieces(text, cuts, self.feature_mode)]
 
-    def chunks(self, rows: Iterable[tuple], bound: int) -> Iterator[list[tuple]]:
+    def chunks(self, rows: Iterable[tuple]) -> Iterator[list[tuple]]:
         """``(row, parts)`` for each row, which ends in a text and its cuts
-        (or None), in runs that end once they hold ``bound`` units or
-        ``bound`` rows.  The coders start over before a run once they hold
-        ``_BUCKET_MEMO_KEYS`` keys, so never while the last run's codes are
-        in use."""
+        (or None), in runs that end once they hold ``_SCORE_CHUNK`` units or
+        ``_SCORE_CHUNK`` rows.  The coders start over before a run once they
+        hold ``_BUCKET_MEMO_KEYS`` keys, so never while the last run's codes
+        are in use."""
         chunk, units = [], 0
         for row in rows:
             if not chunk and sum(map(len, self.coders)) > _BUCKET_MEMO_KEYS:
@@ -292,7 +313,7 @@ class _ChunkFeaturizer:
             parts = self.parts(*row[-2:])
             chunk.append((row, parts))
             units += sum(map(len, parts))
-            if units >= bound or len(chunk) >= bound:
+            if units >= _SCORE_CHUNK or len(chunk) >= _SCORE_CHUNK:
                 yield chunk
                 chunk, units = [], 0
         if chunk:
@@ -340,14 +361,6 @@ class _ChunkFeaturizer:
 
 # --------------------------------------------------------------------------
 # trainable logistic-regression detector
-
-
-# About the most units (word tokens or characters), and the most texts, that
-# one chunk of a batch route featurizes and counts: a call per chunk keeps
-# numpy's fixed cost off each short text, and the bound keeps the chunk's
-# arrays, and so the allocator's peak, small.  Twice this was slightly faster
-# on short documents but left a higher peak RSS after a training run.
-_SCORE_CHUNK = 2**13
 
 
 def _checked_logit(bias: float, terms: Iterable[float], length: int) -> float:
@@ -418,19 +431,6 @@ class NGramLogRegModel:
         terms = (self.weights[idx[start:stop]] * counts[start:stop]).tolist()
         texts = zip(bounds, bounds[1:], lengths)
         return [_checked_logit(self.bias, terms[a - start : b - start], n) for a, b, n in texts]
-
-    def score_batch(self, texts: Sequence[str]) -> list[float]:
-        """``[self.score(t) for t in texts]``, bit for bit, with one
-        ``_ChunkFeaturizer`` call and one ``np.unique`` per chunk of texts
-        rather than one per text.  It bypasses the text-level cache, which
-        held-out texts hardly ever hit.
-        """
-        featurize = _ChunkFeaturizer(self)
-        scores: list[float] = []
-        for chunk in featurize.chunks(((text, None) for text in texts), _SCORE_CHUNK):
-            block = featurize.count(featurize([parts for _, parts in chunk])[0], len(chunk))
-            scores += map(sigmoid, self._logits(*block, [len(text) for (text, _), _ in chunk]))
-        return scores
 
 
 LabeledText = tuple[str, int]

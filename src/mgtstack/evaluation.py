@@ -78,10 +78,9 @@ def bootstrap_auroc_ci(
     pos_scores: Sequence[float],
     neg_scores: Sequence[float],
     n_boot: int = 1000,
-    level: float = 0.95,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Percentile bootstrap CI for AUROC, resampling each class independently.
+    """Percentile 95% bootstrap CI for AUROC, resampling each class independently.
 
     A resample's AUROC is its Mann-Whitney U, counted from the draws: with
     ``c`` the cumulative drawn count over the once-sorted negatives, positive
@@ -108,7 +107,7 @@ def bootstrap_auroc_ci(
         cp = np.bincount(rng.integers(0, pos.size, pos.size), minlength=pos.size)
         np.cumsum(np.bincount(rank[rng.integers(0, neg.size, neg.size)], minlength=neg.size), out=c[1:])
         stats[b] = (cp @ (c[lo] + c[hi]) / 2) / pairs
-    ci_lo, ci_hi = np.quantile(stats, [(1 - level) / 2, 1 - (1 - level) / 2])
+    ci_lo, ci_hi = np.quantile(stats, [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2])
     return float(ci_lo), float(ci_hi)
 
 

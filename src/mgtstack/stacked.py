@@ -17,22 +17,27 @@ says whether the document filters and where its groups lie.  The routes:
   group's n-grams are those of the document inside it, and a document that
   keeps every group is scored from all of them.  Only one that drops a
   group, or has a zero budget, featurizes its retained text.  Documents go
-  in chunks of about ``_SCORE_CHUNK`` units; one ``_ChunkFeaturizer``
+  in chunks of about ``detectors._SCORE_CHUNK`` units; one ``_ChunkFeaturizer``
   codes each chunk's n-grams in numpy, each pass counts the chunk with one
   ``np.unique``, and every score equals the base's ``score`` of that text,
   bit for bit.
 * Every other base, a subclass of either built-in detector included, takes
   two batches: all groups of all documents in one ``score_batch`` call, then
   all retained texts in one more, so an adapter is launched once per pass.
+  A subclass is scored by its own ``score_batch``, or text by text with its
+  own ``score``, never by a built-in route.
   A document whose mask keeps every group is rescored as its own text, so
   degeneration is exact for any base detector.
 
-Training alternates a hard E-step (pass 1 over the current batch with the
-current parameters) with a single gradient-ascent M-step on the retained
-texts, masks held constant.  Each training document is featurized for the
-E-step once per run, and every E-step scores its groups from that store.
-With tau = 0 nothing can be filtered and the parameter trajectory is bitwise
-identical to plain training under the same seed.
+Training takes exactly an :class:`NGramLogRegModel`, since the E-step's
+store is built from that type's featurization.  It alternates a hard E-step
+(pass 1 over the current batch with the current parameters) with a single
+gradient-ascent M-step on the retained texts, masks held constant.  Each
+training document is featurized for the E-step once per run, and every
+E-step scores its groups from that store.  Plain training runs the same
+epoch loop on the full texts.  With tau = 0 nothing can be filtered and the
+parameter trajectory is bitwise identical to plain training under the same
+seed.
 """
 
 from __future__ import annotations
@@ -41,13 +46,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .detectors import (
-    _SCORE_CHUNK,
     Detector,
+    LabeledText,
     NGramLMDetector,
     NGramLogRegModel,
     TrainConfig,
@@ -163,15 +168,15 @@ def _score_lm(lm: NGramLMDetector, doc: Document, cfg: FilterConfig) -> tuple[fl
 
 
 def _featurized_chunks(featurize: _ChunkFeaturizer, docs: Sequence[Document], cfg: FilterConfig):
-    """Pass 1 for a logistic base, in chunks of about ``_SCORE_CHUNK`` units
-    or documents, which bounds what either pass featurizes at once.
+    """Pass 1 for a logistic base, in the featurizer's chunks of documents,
+    which bound what either pass featurizes at once.
 
     Yields, per chunk, its ``(row, parts)`` pairs of ``_cut`` rows; the
     counted block of the groups of every document with a non-zero budget,
     with their lengths; and the keys of every n-gram of those documents'
     texts, each owned by its row's position.
     """
-    for chunk in featurize.chunks((_cut(doc, cfg) for doc in docs), _SCORE_CHUNK):
+    for chunk in featurize.chunks(_cut(doc, cfg) for doc in docs):
         text_keys, group_keys = featurize([() if cuts is None else parts for (*_, cuts), parts in chunk])
         lengths = [b - a for (*_, cuts), _ in chunk if cuts for a, b in zip(cuts[1::2], cuts[2::2])]
         yield chunk, (*featurize.count(group_keys, len(lengths)), lengths), text_keys
@@ -250,7 +255,7 @@ LabeledDoc = tuple[Document, int]
 
 
 def _check_training_data(base: NGramLogRegModel, data: Sequence[LabeledDoc]) -> None:
-    if not isinstance(base, NGramLogRegModel):
+    if type(base) is not NGramLogRegModel:  # the E-step store is this type's featurization
         raise InvalidConfig(f"training needs an n-gram logistic model, got {type(base).__name__}")
     if not data:
         raise DegenerateDataset("training data is empty")
@@ -259,14 +264,6 @@ def _check_training_data(base: NGramLogRegModel, data: Sequence[LabeledDoc]) -> 
         raise InvalidConfig(f"labels must be 0 or 1, got {sorted(labels - {0, 1})!r}")
     if labels != {0, 1}:
         raise DegenerateDataset("training data must contain both classes")
-
-
-def _epoch_batches(
-    n: int, batch_size: int, rng: random.Random
-) -> list[list[int]]:
-    order = list(range(n))
-    rng.shuffle(order)
-    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
 def _estep_store(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterConfig) -> tuple:
@@ -288,6 +285,30 @@ def _estep_store(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterC
     return block, np.cumsum(n_groups)
 
 
+def _train(model: NGramLogRegModel, n: int, tc: TrainConfig, batch: Callable) -> tuple[NGramLogRegModel, TrainTrace]:
+    """The epoch loop of both trainings, over ``n`` documents shuffled per
+    epoch: ``batch(model, batch_idx)`` gives a step's (text, label) pairs,
+    filtered group count and total group count, and one ascent step on the
+    pairs follows."""
+    rng = random.Random(tc.seed)
+    records: list[EpochRecord] = []
+    for epoch in range(tc.epochs):
+        started = time.perf_counter()
+        order = list(range(n))
+        rng.shuffle(order)
+        starts = range(0, n, tc.batch_size)
+        q_sum, filtered, groups_total = 0.0, 0, 0
+        for start in starts:
+            pairs, n_filtered, n_groups = batch(model, order[start : start + tc.batch_size])
+            filtered += n_filtered
+            groups_total += n_groups
+            q_sum += bin_log_likelihood(model, pairs)
+            model = grad_update(model, pairs, tc.lr)
+        fraction = filtered / groups_total if groups_total else 0.0
+        records.append(EpochRecord(epoch, q_sum / len(starts), fraction, time.perf_counter() - started))
+    return model, TrainTrace(tuple(records))
+
+
 def train_hard_em(
     base: NGramLogRegModel, data: Sequence[LabeledDoc], tc: TrainConfig
 ) -> tuple[NGramLogRegModel, TrainTrace]:
@@ -302,40 +323,23 @@ def train_hard_em(
     """
     _check_training_data(base, data)
     cfg = tc.filter_config()
-    rng = random.Random(tc.seed)
-    model = base
-    (idx, counts, bounds, lengths), first = _estep_store(model, [doc for doc, _ in data], cfg)
-    records: list[EpochRecord] = []
-    for epoch in range(tc.epochs):
-        started = time.perf_counter()
-        q_sum = 0.0
-        n_batches = 0
-        filtered = 0
-        groups_total = 0
-        for batch_idx in _epoch_batches(len(data), tc.batch_size, rng):
-            masked = []
-            for i in batch_idx:
-                p, q = first[i], first[i + 1]
-                scores = None
-                if p < q:
-                    logits = model._logits(idx, counts, bounds[p : q + 1].tolist(), lengths[p:q].tolist())
-                    scores = list(map(sigmoid, logits))
-                text, mask = _retain(data[i][0], group_subsequences(data[i][0], cfg.k), scores, cfg)
-                masked.append((text, data[i][1]))
-                filtered += mask.n_filtered
-                groups_total += len(mask)
-            q_sum += bin_log_likelihood(model, masked)
-            n_batches += 1
-            model = grad_update(model, masked, tc.lr)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                mean_q=q_sum / n_batches,
-                filtered_fraction=filtered / groups_total if groups_total else 0.0,
-                wall_seconds=time.perf_counter() - started,
-            )
-        )
-    return model, TrainTrace(tuple(records))
+    (idx, counts, bounds, lengths), first = _estep_store(base, [doc for doc, _ in data], cfg)
+
+    def e_step(model: NGramLogRegModel, batch_idx: list[int]) -> tuple[list[LabeledText], int, int]:
+        masked, filtered, groups_total = [], 0, 0
+        for i in batch_idx:
+            (doc, label), (p, q) = data[i], first[i : i + 2]
+            scores = None
+            if p < q:
+                logits = model._logits(idx, counts, bounds[p : q + 1].tolist(), lengths[p:q].tolist())
+                scores = list(map(sigmoid, logits))
+            text, mask = _retain(doc, group_subsequences(doc, cfg.k), scores, cfg)
+            masked.append((text, label))
+            filtered += mask.n_filtered
+            groups_total += len(mask)
+        return masked, filtered, groups_total
+
+    return _train(base, len(data), tc, e_step)
 
 
 def train_plain(
@@ -347,24 +351,5 @@ def train_plain(
     end to end (same seed, bitwise-identical parameter trajectory).
     """
     _check_training_data(base, data)
-    rng = random.Random(tc.seed)
-    model = base
-    records: list[EpochRecord] = []
-    for epoch in range(tc.epochs):
-        started = time.perf_counter()
-        q_sum = 0.0
-        n_batches = 0
-        for batch_idx in _epoch_batches(len(data), tc.batch_size, rng):
-            batch = [(data[i][0].text, data[i][1]) for i in batch_idx]
-            q_sum += bin_log_likelihood(model, batch)
-            n_batches += 1
-            model = grad_update(model, batch, tc.lr)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                mean_q=q_sum / n_batches,
-                filtered_fraction=0.0,
-                wall_seconds=time.perf_counter() - started,
-            )
-        )
-    return model, TrainTrace(tuple(records))
+    texts = [(doc.text, label) for doc, label in data]
+    return _train(base, len(data), tc, lambda _, batch_idx: ([texts[i] for i in batch_idx], 0, 0))

@@ -20,14 +20,13 @@ breaking point of evidence filtering are mapped out.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 from statistics import NormalDist
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -540,7 +539,7 @@ def run_experiment(
         worlds = [make(p["delta"], *dim) for p in points]
     tasks = [(w, p, cfg.seed, i) for i, (w, p) in enumerate(zip(worlds, points))]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_point, tasks))
     return [_run_point(t) for t in tasks]
 
@@ -565,10 +564,9 @@ CSV_COLUMNS = (
 )
 
 
-def write_rows_csv(rows: Sequence[dict], dest: IO[str] | str) -> None:
-    """Write experiment rows as CSV to a path or an open text stream."""
-    stream = hasattr(dest, "write")
-    with nullcontext(dest) if stream else open(dest, "w", encoding="utf-8", newline="") as fh:
+def write_rows_csv(rows: Sequence[dict], path: str) -> None:
+    """Write experiment rows as CSV to a path."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
 
@@ -105,6 +106,16 @@ def test_bad_log_level(capsys, corpus_path, model_path):
     )
     assert code == 2
     assert "log-level" in err
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # Only --jobs > 1 starts worker processes; no other verb should pay for
+    # importing multiprocessing.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    check = "import sys, mgtstack.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from mgtstack import (
     sigmoid,
     tokenize,
 )
-from mgtstack import detectors, stacked
+from mgtstack import detectors
 
 
 def ref_hash64(data: bytes, seed: int) -> int:
@@ -228,7 +228,6 @@ def test_bucket_memo_bound_changes_nothing(monkeypatch, fresh_bucket_memos):
     # Chunks of about 4 units make the batch routes' coders pass the bound,
     # and start over, between most chunks.
     monkeypatch.setattr(detectors, "_SCORE_CHUNK", 4)
-    monkeypatch.setattr(stacked, "_SCORE_CHUNK", 4)
     texts = ["İstanbul straße ﬁne day", "a b c d e f g", "", "the ﬁne straße again and again"]
     docs = [Document.from_text(str(i), f"{t}. Then ﬁne straße. And a b c. End {t}!") for i, t in enumerate(texts)]
     cfg = FilterConfig(r_e=0.3, tau=0.5, k=1)
@@ -240,7 +239,7 @@ def test_bucket_memo_bound_changes_nothing(monkeypatch, fresh_bucket_memos):
                 assert len(detectors._bucket_memo(buckets, seed)) <= 3
             weights = np.resize(np.random.default_rng(seed).normal(0.0, 0.5, 16), buckets)
             model = NGramLogRegModel(3, mode, buckets, weights, 0.1, seed)
-            assert model.score_batch(texts * 2) == [model.score(t) for t in texts * 2]
+            assert score_batch(model, texts * 2) == [model.score(t) for t in texts * 2]
             expected = [(r.score, r.mask) for r in score_corpus(PerText(model), docs * 2, cfg)]
             assert [(r.score, r.mask) for r in score_corpus(model, docs * 2, cfg)] == expected
     assert len(detectors._bucket_memo(7, 0)) == 3
@@ -390,7 +389,6 @@ def test_score_batch_matches_score(texts, feature_mode, n, hash_buckets, hash_se
     tiled = np.resize(np.array(weights), hash_buckets)
     model = NGramLogRegModel(n, feature_mode, hash_buckets, tiled, bias, hash_seed)
     expected = batch_scores_or_error(lambda: [model.score(t) for t in texts])
-    assert batch_scores_or_error(lambda: model.score_batch(texts)) == expected
     assert batch_scores_or_error(lambda: score_batch(model, texts)) == expected
 
 
@@ -403,7 +401,7 @@ def test_score_batch_spans_chunks(feature_mode, n):
     texts = unique + unique[-60:]
     model = NGramLogRegModel(n, feature_mode, 16, rng.normal(size=16), 0.25)
     assert len(texts) > detectors._SCORE_CHUNK + 1
-    assert [s.hex() for s in model.score_batch(texts)] == [model.score(t).hex() for t in texts]
+    assert [s.hex() for s in score_batch(model, texts)] == [model.score(t).hex() for t in texts]
 
 
 def test_score_batch_raises_logits_error_for_first_bad_text():
@@ -416,7 +414,7 @@ def test_score_batch_raises_logits_error_for_first_bad_text():
     with pytest.raises(NumericalError) as per_text:
         model.logit("zz")
     with pytest.raises(NumericalError) as batch:
-        model.score_batch(texts)
+        score_batch(model, texts)
     assert str(batch.value) == str(per_text.value) == "non-finite logit for text of length 2"
 
 

@@ -218,8 +218,9 @@ def test_bootstrap_ci_rejects_bad_scores_before_drawing(bad, side):
     assert rng.bit_generator.state == state
 
 
-def reference_bootstrap_auroc_ci(pos_scores, neg_scores, n_boot, level, rng):
-    """The resample loop, each resample scored by the pairwise definition."""
+def reference_bootstrap_auroc_ci(pos_scores, neg_scores, n_boot, rng):
+    """The resample loop, each resample scored by the pairwise definition, and
+    the 95% percentile interval of its statistics."""
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     labels = np.r_[np.ones(pos.size, dtype=np.int64), np.zeros(neg.size, dtype=np.int64)]
@@ -228,7 +229,7 @@ def reference_bootstrap_auroc_ci(pos_scores, neg_scores, n_boot, level, rng):
         ps = pos[rng.integers(0, pos.size, pos.size)]
         ns = neg[rng.integers(0, neg.size, neg.size)]
         stats[b] = brute_force_auroc(np.r_[ps, ns].tolist(), labels)
-    lo, hi = np.quantile(stats, [(1 - level) / 2, 1 - (1 - level) / 2])
+    lo, hi = np.quantile(stats, [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2])
     return float(lo), float(hi)
 
 
@@ -241,15 +242,14 @@ untied_scores = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
         lambda scores: st.tuples(st.lists(scores, min_size=1, max_size=30), st.lists(scores, min_size=1, max_size=30))
     ),
     st.integers(min_value=1, max_value=50),
-    st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=300, deadline=None)
-def test_bootstrap_ci_matches_resample_and_rank_loop_bit_for_bit(classes, n_boot, level, seed):
+def test_bootstrap_ci_matches_resample_and_rank_loop_bit_for_bit(classes, n_boot, seed):
     pos, neg = classes
     fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    fast = bootstrap_auroc_ci(pos, neg, n_boot=n_boot, level=level, rng=fast_rng)
-    assert fast == reference_bootstrap_auroc_ci(pos, neg, n_boot, level, ref_rng)
+    fast = bootstrap_auroc_ci(pos, neg, n_boot=n_boot, rng=fast_rng)
+    assert fast == reference_bootstrap_auroc_ci(pos, neg, n_boot, ref_rng)
     # Same draws in the same order: both generators end in the same state.
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mgtstack import (
     grad_update,
     human_sentence_pool,
     inject_human_sentences,
+    score_batch,
     score_corpus,
     stacked_infer_detail,
     synth_corpus,
@@ -256,6 +258,40 @@ def test_detector_subclass_takes_the_two_batch_route(engine_corpus, cls):
     assert sum(row[2] for row in got) > 0
 
 
+@dataclass(frozen=True)
+class FlippedLogReg(NGramLogRegModel):
+    """A logistic subclass that scores otherwise: no route built for the base
+    model's featurization may score it."""
+
+    def score(self, text):
+        return 1.0 - super().score(text)
+
+
+def test_logreg_subclass_is_scored_by_its_own_score(engine_corpus):
+    docs, _ = engine_corpus
+    sub = FlippedLogReg(2, "word", 64, np.random.default_rng(3).normal(0.0, 0.05, 64), 0.1)
+    texts = [doc.text for doc in docs]
+    scores = [sub.score(text) for text in texts]
+    assert 0.0 < min(scores) and max(scores) < 1.0
+    own = [s.hex() for s in scores]
+    assert [s.hex() for s in score_batch(sub, texts)] == own
+    # With tau = 0 the wrapper collapses onto the detector's own score.
+    cfg = FilterConfig(tau=0.0)
+    assert [r.score.hex() for r in score_corpus(sub, docs, cfg)] == own
+    assert [StackedDetector(sub, cfg).score(text).hex() for text in texts] == own
+
+
+def test_training_takes_exactly_the_logistic_model():
+    # The E-step's store is built from NGramLogRegModel's featurization, so
+    # a subclass that scores otherwise cannot be trained through it.
+    base = NGramLogRegModel.new(n=1, hash_buckets=64)
+    sub = FlippedLogReg(base.n, base.feature_mode, base.hash_buckets, base.weights, base.bias)
+    data = small_corpus(n_docs=10)
+    for train in (train_hard_em, train_plain):
+        with pytest.raises(InvalidConfig, match="FlippedLogReg"):
+            train(sub, data, TrainConfig(epochs=1))
+
+
 # Words whose casefold is longer than they are (İ -> i + U+0307, ß -> ss,
 # ﬁ -> fi), so token offsets in the casefolded text drift from the original.
 HYP_WORDS = ["aa", "bb", "cc", "dd", "İstanbul", "Straße", "ﬁne", "don't", "x9"]
@@ -479,7 +515,7 @@ def test_logreg_batch_routes_stay_off_the_text_cache(engine_corpus):
     docs, _ = engine_corpus
     model = NGramLogRegModel(2, "word", 64, np.random.default_rng(3).normal(size=64), 0.1)
     before = hashed_features.cache_info()
-    model.score_batch([doc.text for doc in docs])
+    score_batch(model, [doc.text for doc in docs])
     score_corpus(model, docs, FilterConfig(r_e=0.3, tau=0.5, k=1))
     assert hashed_features.cache_info() == before
 
@@ -503,7 +539,7 @@ def test_logreg_score_corpus_matches_reference_bit_for_bit(docs, feature_mode, n
     model = NGramLogRegModel(n, feature_mode, 16, weights, 0.0)
     cfg = FilterConfig(r_e=r_e, tau=tau, k=k)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stacked, "_SCORE_CHUNK", chunk)
+        mp.setattr(detectors, "_SCORE_CHUNK", chunk)
         results = score_corpus(model, docs, cfg)
     got = [(r.score.hex(), r.n_groups, r.n_filtered, r.mask.bits) for r in results]
     expected = [(score.hex(), *rest) for score, *rest in (reference_result(model, d, cfg) for d in docs)]

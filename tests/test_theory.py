@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from itertools import combinations
 
@@ -557,12 +556,12 @@ def test_run_experiment_filter_overdraw_is_invalid(monkeypatch):
 # CSV and aggregation
 
 
-def test_write_rows_csv_formats():
+def test_write_rows_csv_formats(tmp_path):
     cfg = SimConfig(world=categorical_world(0.5), mix=MixSpec(n=5), trials=100, seed=0)
     rows = run_experiment(cfg)
-    buf = io.StringIO()
-    write_rows_csv(rows, buf)
-    lines = buf.getvalue().splitlines()
+    path = tmp_path / "out.csv"
+    write_rows_csv(rows, str(path))
+    lines = path.read_text("utf-8").splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     cells = lines[1].split(",")
     as_map = dict(zip(CSV_COLUMNS, cells))
@@ -576,8 +575,10 @@ def test_write_rows_csv_to_path(tmp_path):
     cfg = SimConfig(world=categorical_world(0.5), mix=MixSpec(n=5), trials=100, seed=0)
     rows = run_experiment(cfg)
     path = tmp_path / "out.csv"
+    path.write_text("stale\r\n" * 50, "utf-8")
     write_rows_csv(rows, str(path))
-    buf = io.StringIO()
-    write_rows_csv(rows, buf)
-    assert path.read_text("utf-8") == buf.getvalue()
+    # The file is replaced, not appended to, and ends each row in a bare "\n".
+    data = path.read_bytes()
+    assert data.count(b"\n") == len(rows) + 1 and b"\r" not in data
+    assert data.startswith(",".join(CSV_COLUMNS).encode() + b"\n")
 
