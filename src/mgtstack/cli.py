@@ -21,7 +21,6 @@ fields (epoch wall seconds, bench seconds) are the documented exception.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import shlex
@@ -225,6 +224,8 @@ def _cmd_detect(args) -> int:
     base = _load_base(args)
 
     if args.jobs > 1 and len(docs) > 1:
+        import concurrent.futures
+
         n_chunks = min(len(docs), args.jobs * 4)
         step = -(-len(docs) // n_chunks)
         chunks = [docs[i : i + step] for i in range(0, len(docs), step)]

@@ -32,8 +32,6 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 from .errors import (
     AdapterProtocolError,
     DegenerateDataset,
@@ -42,6 +40,7 @@ from .errors import (
     NumericalError,
     _check_int,
     _real,
+    np,
 )
 from .retention import FilterConfig
 from .segmentation import Document

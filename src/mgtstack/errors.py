@@ -2,7 +2,8 @@
 
 Every error raised by library code derives from :class:`MgtStackError` so
 callers (notably the CLI) can map failures onto exit codes without chasing
-individual modules.  The two field rules many constructors share live here.
+individual modules.  The two field rules many constructors share live here,
+and so does :data:`np`, the numpy handle every module reads arrays through.
 """
 
 from __future__ import annotations
@@ -66,3 +67,25 @@ def _real(value: object, name: str) -> float:
         except OverflowError:
             pass
     raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+
+
+class _Numpy:
+    """numpy, imported on the first attribute read.
+
+    ``detect`` with an n-gram LM or an adapter never touches an array, yet
+    importing numpy up front would double what ``import mgtstack.cli``
+    costs, so every module reads numpy through this one handle.  Each
+    attribute handed out is kept on the instance, so a later read is one
+    instance-dict lookup (``__getattr__`` runs only on a miss).
+    ``sys.modules`` is left alone: a host loads numpy as it always does.
+    """
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()

@@ -15,9 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .errors import DegenerateDataset, InvalidConfig, _check_int
+from .errors import DegenerateDataset, InvalidConfig, _check_int, np
 from .segmentation import Document
 
 _WS_RUN = re.compile(r"\s+")

@@ -48,8 +48,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .detectors import (
     Detector,
     LabeledText,
@@ -64,7 +62,7 @@ from .detectors import (
     score_batch,
     sigmoid,
 )
-from .errors import DegenerateDataset, InvalidConfig
+from .errors import DegenerateDataset, InvalidConfig, np
 from .retention import FilterConfig, RetentionMask, compute_mask
 from .segmentation import Document, group_subsequences, reconstruct
 

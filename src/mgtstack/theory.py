@@ -20,7 +20,6 @@ breaking point of evidence filtering are mapped out.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass
@@ -28,9 +27,7 @@ from itertools import product
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .errors import InvalidConfig, InvalidFilterSpec, UnsupportedCombination, _check_int, _real
+from .errors import InvalidConfig, InvalidFilterSpec, UnsupportedCombination, _check_int, _real, np
 from .evaluation import auroc, bootstrap_auroc_ci
 from .retention import snap_floor
 
@@ -539,6 +536,8 @@ def run_experiment(
         worlds = [make(p["delta"], *dim) for p in points]
     tasks = [(w, p, cfg.seed, i) for i, (w, p) in enumerate(zip(worlds, points))]
     if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_point, tasks))
     return [_run_point(t) for t in tasks]

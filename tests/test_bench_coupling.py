@@ -9,6 +9,8 @@ benchmark run.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,6 +43,18 @@ def test_traced_methods_resolve(perfbench):
     for _, module, cls_name, method, _ in perfbench["spans"].METHODS:
         cls = getattr(importlib.import_module(module), cls_name)
         assert callable(getattr(cls, method)), f"{module}.{cls_name}.{method}"
+
+
+def test_importing_the_cli_loads_every_traced_module(perfbench):
+    # spans.install reads sys.modules for each module it wraps, so a module
+    # that the CLI imports only when a verb needs it breaks traced runs.
+    spans = perfbench["spans"]
+    modules = sorted({module for _, module, *_ in spans.FUNCTIONS + spans.METHODS})
+    check = "import sys, mgtstack.cli; print(sorted(m for m in sys.argv[1:] if m not in sys.modules))"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", check, *modules], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_hash_cache_counters_resolve():

@@ -108,14 +108,53 @@ def test_bad_log_level(capsys, corpus_path, model_path):
     assert "log-level" in err
 
 
-def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # Only --jobs > 1 starts worker processes; no other verb should pay for
-    # importing multiprocessing.
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this mgtstack."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    check = "import sys, mgtstack.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
-    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # Only --jobs > 1 starts worker processes; no other verb should pay for
+    # importing multiprocessing or concurrent.futures.
+    check = (
+        "import sys, mgtstack.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    assert _fresh_python(check) == "[]"
+
+
+NUMPY_FREE_VERBS = """\
+import sys
+import mgtstack.cli
+
+corpus, lm, adapter, out = sys.argv[1:]
+loaded = ["numpy" in sys.modules]
+for flags in (["--model", lm], ["--adapter", adapter]):
+    argv = ["detect", "--corpus", corpus, *flags, "--tau", "0.5", "--k", "1", "--out", out]
+    assert mgtstack.cli.main(argv) == 0, flags
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+
+import numpy
+from mgtstack import detectors, theory
+
+print(detectors.np.ndarray is numpy.ndarray, theory.np.random is numpy.random)
+"""
+
+
+def test_lm_and_adapter_detect_leave_numpy_unloaded(corpus_path, tmp_path):
+    # numpy is imported on first use, and neither the CLI's import nor detect
+    # through an n-gram LM or an external adapter touches an array.
+    lm = tmp_path / "lm.json"
+    save_model(NGramLMDetector.fit(load_corpus(corpus_path), n=2), str(lm))
+    scorer = tmp_path / "scorer.py"
+    scorer.write_text("import sys\nfor line in sys.stdin:\n    print(0.9 if len(line) % 3 else 0.001)\n", encoding="utf-8")
+    adapter = f"{sys.executable} -S {scorer}"
+    out = _fresh_python(NUMPY_FREE_VERBS, corpus_path, str(lm), adapter, str(tmp_path / "scores.jsonl"))
+    assert out.splitlines() == ["[False, False, False]", "True True"]
 
 
 # ---------------------------------------------------------------------------
