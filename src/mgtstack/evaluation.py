@@ -38,20 +38,33 @@ def _as_arrays(scores: Sequence[float], labels: Sequence[int]) -> tuple[np.ndarr
     return s, y.astype(np.int64)
 
 
-def _sorted_negatives(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The negatives' sort order, and for each positive the number of
-    negatives below it (lo) and at or below it (hi).  Positive i adds
-    lo[i] + hi[i] to 2U, the Mann-Whitney U with ties counted half."""
-    order = np.argsort(neg, kind="mergesort")
-    ordered = neg[order]
-    return order, np.searchsorted(ordered, pos, side="left"), np.searchsorted(ordered, pos, side="right")
+def _below_and_tied(pos: np.ndarray, ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each positive, the number of ascending ``ordered`` values below it
+    (lo) and at or below it (hi).  Against the sorted negatives, positive i
+    adds lo[i] + hi[i] to 2U, the Mann-Whitney U with ties counted half."""
+    return np.searchsorted(ordered, pos, side="left"), np.searchsorted(ordered, pos, side="right")
+
+
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(ordered, q)`` of an ascending array, bit for bit: its
+    default linear interpolation, done in the same float operations.
+    np.quantile itself makes an ``np.unique`` call that imports numpy.ma."""
+    last = ordered.size - 1
+    virtual = last * q
+    if virtual >= last:
+        return float(ordered[last])
+    i = math.floor(virtual)
+    gamma = virtual - i
+    below, above = float(ordered[i]), float(ordered[i + 1])
+    diff = above - below
+    return above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
 
 
 def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     """P(score of a positive > score of a negative) + 0.5 P(tie)."""
     s, y = _as_arrays(scores, labels)
     pos, neg = s[y == 1], s[y == 0]
-    _, lo, hi = _sorted_negatives(pos, neg)
+    lo, hi = _below_and_tied(pos, np.sort(neg))
     return (int((lo + hi).sum()) / 2) / (pos.size * neg.size)
 
 
@@ -80,10 +93,11 @@ def bootstrap_auroc_ci(
 ) -> tuple[float, float]:
     """Percentile 95% bootstrap CI for AUROC, resampling each class independently.
 
-    A resample's AUROC is its Mann-Whitney U, counted from the draws: with
-    ``c`` the cumulative drawn count over the once-sorted negatives, positive
-    i beats ``c[lo[i]]`` of them and ties ``c[hi[i]] - c[lo[i]]``.  2U is an
-    exact integer, so the statistic is the float ``auroc`` gives the resample.
+    A resample's AUROC is its Mann-Whitney U, counted per distinct score, not
+    per draw: with ``c`` the cumulative drawn count over the distinct negative
+    scores, a positive with distinct score u beats ``c[lo[u]]`` negatives and
+    ties ``c[hi[u]] - c[lo[u]]``.  2U is an exact integer, so the statistic is
+    the float ``auroc`` gives the resample, however many scores tie.
     """
     _check_int(n_boot, "n_boot")
     pos = np.asarray(pos_scores, dtype=np.float64)
@@ -95,18 +109,18 @@ def bootstrap_auroc_ci(
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise InvalidConfig("scores must be finite")
     rng = rng or np.random.default_rng(0)
-    order, lo, hi = _sorted_negatives(pos, neg)
-    rank = np.empty(neg.size, dtype=np.int64)
-    rank[order] = np.arange(neg.size)
-    c = np.zeros(neg.size + 1, dtype=np.int64)
+    pos_distinct, pos_class = np.unique(pos, return_inverse=True)
+    neg_distinct, neg_class = np.unique(neg, return_inverse=True)
+    lo, hi = _below_and_tied(pos_distinct, neg_distinct)
+    c = np.zeros(neg_distinct.size + 1, dtype=np.int64)
     pairs = pos.size * neg.size
     stats = np.empty(n_boot)
     for b in range(n_boot):
-        cp = np.bincount(rng.integers(0, pos.size, pos.size), minlength=pos.size)
-        np.cumsum(np.bincount(rank[rng.integers(0, neg.size, neg.size)], minlength=neg.size), out=c[1:])
-        stats[b] = (cp @ (c[lo] + c[hi]) / 2) / pairs
-    ci_lo, ci_hi = np.quantile(stats, [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2])
-    return float(ci_lo), float(ci_hi)
+        drawn = pos_class[rng.integers(0, pos.size, pos.size)]
+        np.cumsum(np.bincount(neg_class[rng.integers(0, neg.size, neg.size)], minlength=neg_distinct.size), out=c[1:])
+        stats[b] = ((c[lo] + c[hi])[drawn].sum() / 2) / pairs
+    stats.sort()
+    return _linear_quantile(stats, (1 - 0.95) / 2), _linear_quantile(stats, 1 - (1 - 0.95) / 2)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import product
-from statistics import NormalDist
 from typing import Mapping, Sequence
 
 from .errors import InvalidConfig, InvalidFilterSpec, UnsupportedCombination, _check_int, _real, np
@@ -32,8 +31,6 @@ from .evaluation import auroc, bootstrap_auroc_ci
 from .retention import snap_floor
 
 EXACT_N_MAX = 12  # exact position-subset scoring up to this many sentences
-
-_NORMAL = NormalDist()
 
 
 # --------------------------------------------------------------------------
@@ -92,8 +89,10 @@ def tv_distance(world: SentenceWorld) -> float:
     """
     if world.kind == "categorical":
         return 0.5 * sum(abs(a - b) for a, b in zip(world.h, world.m))
+    from statistics import NormalDist  # gaussian worlds only: keeps it off every verb's start-up
+
     gap = math.sqrt(sum((a - b) ** 2 for a, b in zip(world.mu_h, world.mu_m)))
-    return 2.0 * _NORMAL.cdf(gap / 2.0) - 1.0
+    return 2.0 * NormalDist().cdf(gap / 2.0) - 1.0
 
 
 def categorical_world(delta: float) -> SentenceWorld:
@@ -117,7 +116,9 @@ def gaussian_world(delta: float, dim: int = 2) -> SentenceWorld:
     if not (0.0 <= delta < 1.0):
         raise InvalidConfig(f"delta must be in [0, 1) for gaussian worlds, got {delta!r}")
     _check_int(dim, "dim")
-    gap = 2.0 * _NORMAL.inv_cdf((1.0 + delta) / 2.0)
+    from statistics import NormalDist
+
+    gap = 2.0 * NormalDist().inv_cdf((1.0 + delta) / 2.0)
     mu_m = (gap,) + (0.0,) * (dim - 1)
     return SentenceWorld.gaussian(mu_h=(0.0,) * dim, mu_m=mu_m)
 

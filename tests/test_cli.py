@@ -157,6 +157,23 @@ def test_lm_and_adapter_detect_leave_numpy_unloaded(corpus_path, tmp_path):
     assert out.splitlines() == ["[False, False, False]", "True True"]
 
 
+CATEGORICAL_SIMULATE = """\
+import sys
+import mgtstack.cli
+
+argv = ["simulate", "--world", "categorical", "--n", "10,40", "--alpha", "0.0,0.3", "--trials", "100", "--out", sys.argv[1]]
+assert mgtstack.cli.main(argv) == 0
+print([m in sys.modules for m in ("numpy", "numpy.ma", "statistics")])
+"""
+
+
+def test_categorical_simulate_leaves_numpy_ma_and_statistics_unloaded(tmp_path):
+    # The bootstrap CI takes its quantiles without np.quantile (whose
+    # np.unique call imports numpy.ma), and only gaussian worlds need
+    # statistics.NormalDist.
+    assert _fresh_python(CATEGORICAL_SIMULATE, str(tmp_path / "grid.csv")) == "[True, False, False]"
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgtstack import (
@@ -25,6 +25,8 @@ from mgtstack import (
     split_dataset,
     tpr_at_fpr,
 )
+from mgtstack.evaluation import _linear_quantile
+from mgtstack.theory import MixSpec, _lr_scores, categorical_world, gaussian_world, sample_texts
 
 from conftest import make_doc
 
@@ -252,6 +254,59 @@ def test_bootstrap_ci_matches_resample_and_rank_loop_bit_for_bit(classes, n_boot
     assert fast == reference_bootstrap_auroc_ci(pos, neg, n_boot, ref_rng)
     # Same draws in the same order: both generators end in the same state.
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def simulator_classes(world, n, alpha, n_pos, n_neg, seed):
+    """Machine (positive) and human (negative) LR scores as ``simulate`` makes
+    them: the categorical world gives a few dozen distinct scores per class."""
+    rng = np.random.default_rng(seed)
+    mix = MixSpec(n=n, alpha=alpha)
+    machine, _ = sample_texts(world, mix, "machine_mixed", rng, n_pos)
+    human, _ = sample_texts(world, mix, "human", rng, n_neg)
+    k = mix.n_human_like
+    return _lr_scores(machine, world, k, "auto"), _lr_scores(human, world, k, "auto")
+
+
+@pytest.mark.parametrize(
+    "world, n, alpha, n_pos, n_neg",
+    [
+        (categorical_world(0.5), 10, 0.3, 2000, 2000),
+        (categorical_world(0.5), 40, 0.3, 2000, 2000),
+        (gaussian_world(0.5), 10, 0.3, 2000, 2000),
+        (categorical_world(0.5), 10, 0.0, 700, 2000),
+    ],
+    ids=["categorical-exact", "categorical-mixture", "gaussian-untied", "unequal-classes"],
+)
+def test_bootstrap_ci_on_simulator_classes_matches_reference(world, n, alpha, n_pos, n_neg):
+    pos, neg = simulator_classes(world, n, alpha, n_pos, n_neg, seed=n_pos + n)
+    distinct = np.unique(np.r_[pos, neg]).size
+    assert distinct < 200 if world.kind == "categorical" else distinct == pos.size + neg.size
+    fast_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    fast = bootstrap_auroc_ci(pos, neg, n_boot=3, rng=fast_rng)
+    assert fast == reference_bootstrap_auroc_ci(pos, neg, 3, ref_rng)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(
+    st.integers(min_value=1, max_value=2000),
+    st.sampled_from([1, 6, 700 * 2000, 2000 * 2000]),
+    st.booleans(),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(2, 6, False, [], 3)  # 1/12 and 5/6: at q = 0.5 only numpy's b - (b - a) * 0.5 form matches
+@settings(max_examples=300, deadline=None)
+def test_linear_quantile_matches_np_quantile_bit_for_bit(size, pairs, with_ends, random_qs, seed):
+    # Bootstrap statistics: U / pairs for a half-integer U, heavily tied when
+    # pairs is small; with_ends puts 0.0 and 1.0 in.
+    rng = np.random.default_rng(seed)
+    values = (rng.integers(0, 2 * pairs + 1, size) / 2) / pairs
+    if with_ends:
+        values[rng.integers(0, size, 2)] = [0.0, 1.0]
+    qs = [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2, 0.0, 0.5, 1.0, *random_qs]
+    expected = np.quantile(values, qs)
+    ordered = np.sort(values)
+    assert [_linear_quantile(ordered, q).hex() for q in qs] == [float(x).hex() for x in expected]
 
 
 # --------------------------------------------------------------------------
