@@ -373,7 +373,7 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
         "--adapter-timeout",
         type=float,
         default=30.0,
-        help="adapter call timeout in seconds (default %(default)s)",
+        help="seconds each adapter process may run after its texts are sent (default %(default)s)",
     )
 
 

@@ -27,6 +27,8 @@ import math
 import re
 import subprocess
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
@@ -673,14 +675,41 @@ class NGramLMDetector:
 # external adapter
 
 
+# A two-batch stacked route's hand-off, set per call of it by _launch_ahead: ()
+# before its first adapter call, then (detector, waiting process) or None.
+_AHEAD: ContextVar[tuple | None] = ContextVar("_AHEAD", default=None)
+
+
+@contextmanager
+def _launch_ahead():
+    """Let the first adapter call within start the next call's process too,
+    before it sends its own texts; one never fed is killed on exit."""
+    token = _AHEAD.set(())
+    try:
+        yield
+    finally:
+        waiting = _AHEAD.get()
+        _AHEAD.reset(token)
+        if waiting:
+            _reap(waiting[1])
+
+
+def _reap(proc: subprocess.Popen) -> None:
+    with proc:  # closes the pipes and waits
+        proc.kill()
+
+
 @dataclass(frozen=True)
 class ExternalDetector:
     """Adapter around an external scoring executable.
 
     Protocol: one JSON-encoded text per stdin line; the child prints one
     decimal score per stdout line, same order, and exits 0.  Any deviation
-    (bad exit, malformed line, count mismatch) fails the whole batch with
-    AdapterProtocolError.  Out-of-range scores are clamped with a warning.
+    (bad exit, output that is not UTF-8, malformed line, count mismatch) fails
+    the whole batch with AdapterProtocolError.  Out-of-range scores are
+    clamped with a warning.  Each call launches one process, whose ``timeout``
+    runs from when its texts are sent until it exits; a stacked route's pass 1
+    starts pass 2's process before sending its own texts.
     """
 
     command: tuple[str, ...]
@@ -696,31 +725,46 @@ class ExternalDetector:
         return self.score_batch([text])[0]
 
     def score_batch(self, texts: Sequence[str]) -> list[float]:
+        ahead = _AHEAD.get()
+        taken = bool(texts and ahead) and ahead[0] == self
+        if ahead == () or taken:
+            _AHEAD.set(None)  # pass 1 launches pass 2's process or none; pass 2 takes it
         if not texts:
             return []
-        payload = "".join(json.dumps(t) + "\n" for t in texts)
+        proc = ahead[1] if taken else self._launch()
+        if ahead == ():
+            try:
+                _AHEAD.set((self, self._launch()))
+            except BaseException:
+                _reap(proc)
+                raise
+        return self._finish(proc, texts)
+
+    def _launch(self) -> subprocess.Popen:
+        pipe = subprocess.PIPE
         try:
-            proc = subprocess.run(
-                list(self.command),
-                input=payload,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
+            return subprocess.Popen(list(self.command), stdin=pipe, stdout=pipe, stderr=pipe)
         except OSError as exc:
             raise AdapterProtocolError(f"cannot launch adapter {self.command[0]!r}: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise AdapterProtocolError(f"adapter timed out after {self.timeout}s") from exc
+
+    def _finish(self, proc: subprocess.Popen, texts: Sequence[str]) -> list[float]:
+        payload = "".join(json.dumps(t) + "\n" for t in texts).encode()
+        try:
+            out, err = proc.communicate(payload, timeout=self.timeout)
+        except BaseException as exc:
+            _reap(proc)
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise AdapterProtocolError(f"adapter timed out after {self.timeout}s") from exc
+            raise
         if proc.returncode != 0:
-            tail = proc.stderr.strip().splitlines()[-1:] or [""]
-            raise AdapterProtocolError(
-                f"adapter exited with code {proc.returncode}: {tail[0]}"
-            )
-        lines = proc.stdout.splitlines()
+            tail = err.decode("utf-8", "replace").strip().splitlines()[-1:] or [""]
+            raise AdapterProtocolError(f"adapter exited with code {proc.returncode}: {tail[0]}")
+        try:
+            lines = out.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise AdapterProtocolError(f"adapter output is not UTF-8: {exc}") from None
         if len(lines) != len(texts):
-            raise AdapterProtocolError(
-                f"adapter returned {len(lines)} scores for {len(texts)} texts"
-            )
+            raise AdapterProtocolError(f"adapter returned {len(lines)} scores for {len(texts)} texts")
         scores: list[float] = []
         for i, line in enumerate(lines):
             try:
@@ -731,9 +775,7 @@ class ExternalDetector:
                 raise AdapterProtocolError(f"adapter line {i + 1} is NaN")
             if value < 0.0 or value > 1.0:
                 clamped = min(1.0, max(0.0, value))
-                logger.warning(
-                    "adapter score %r out of range on line %d, clamped to %r", value, i + 1, clamped
-                )
+                logger.warning("adapter score %r out of range on line %d, clamped to %r", value, i + 1, clamped)
                 value = clamped
             scores.append(value)
         return scores

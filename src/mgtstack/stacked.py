@@ -23,7 +23,8 @@ says whether the document filters and where its groups lie.  The routes:
   bit for bit.
 * Every other base, a subclass of either built-in detector included, takes
   two batches: all groups of all documents in one ``score_batch`` call, then
-  all retained texts in one more, so an adapter is launched once per pass.
+  all retained texts in one more, so an adapter is launched once per pass,
+  pass 2's process while pass 1 runs.
   A subclass is scored by its own ``score_batch``, or text by text with its
   own ``score``, never by a built-in route.
   A document whose mask keeps every group is rescored as its own text, so
@@ -55,6 +56,7 @@ from .detectors import (
     NGramLogRegModel,
     TrainConfig,
     _ChunkFeaturizer,
+    _launch_ahead,
     _lr_score,
     _pieces,
     bin_log_likelihood,
@@ -131,8 +133,9 @@ def score_corpus(
         # One document at a time, so only its term lists are alive at once.
         scored = (_score_lm(base, doc, cfg) for doc in docs)
     else:
-        first = first_pass(base, docs, cfg)
-        scored = zip(score_batch(base, [text for text, _ in first]), (mask for _, mask in first))
+        with _launch_ahead():  # an adapter's pass-2 process starts while pass 1 runs
+            first = first_pass(base, docs, cfg)
+            scored = zip(score_batch(base, [text for text, _ in first]), (mask for _, mask in first))
     return [StackedResult(score, len(mask), mask.n_filtered, mask) for score, mask in scored]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+
 import pytest
 
 from mgtstack import Document
@@ -48,3 +50,31 @@ def make_doc(sentences: list[str], doc_id: str = "d", label: int | None = None) 
 @pytest.fixture
 def map_detector():
     return MapDetector()
+
+
+@pytest.fixture
+def popens(monkeypatch):
+    """``(events, fail_launches, interrupt_feeds)`` with ``subprocess.Popen``
+    recording: events are ("launch" or "feed", process) pairs, in order.  A
+    launch whose number is added to ``fail_launches`` raises OSError, and a
+    feed whose number is added to ``interrupt_feeds`` raises
+    KeyboardInterrupt before anything is sent."""
+    events: list[tuple[str, subprocess.Popen]] = []
+    fail_launches: set[int] = set()
+    interrupt_feeds: set[int] = set()
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            if sum(kind == "launch" for kind, _ in events) + 1 in fail_launches:
+                raise OSError("launch refused by the test")
+            super().__init__(*args, **kwargs)
+            events.append(("launch", self))
+
+        def communicate(self, *args, **kwargs):
+            events.append(("feed", self))
+            if sum(kind == "feed" for kind, _ in events) in interrupt_feeds:
+                raise KeyboardInterrupt
+            return super().communicate(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return events, fail_launches, interrupt_feeds

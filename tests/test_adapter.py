@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import logging
+import subprocess
 import sys
 
 import pytest
 
-from mgtstack import AdapterProtocolError, ExternalDetector, InvalidConfig
+from mgtstack import AdapterProtocolError, Document, ExternalDetector, FilterConfig, InvalidConfig, score_corpus
+from mgtstack import stacked
 
 
 def write_script(tmp_path, body: str) -> tuple[str, ...]:
@@ -149,3 +151,122 @@ for line in sys.stdin:
     det = ExternalDetector(write_script(tmp_path, body))
     text = 'quoted "stuff" and \t tabs \n plus café'
     assert det.score(text) == min(1.0, len(text) / 100)
+
+
+def test_output_that_is_not_utf8_raises(tmp_path):
+    body = "import sys\nfor line in sys.stdin: sys.stdout.buffer.write(b'0.5\\xff\\n')"
+    det = ExternalDetector(write_script(tmp_path, body))
+    with pytest.raises(AdapterProtocolError, match="not UTF-8"):
+        det.score("a")
+
+
+def test_stderr_that_is_not_utf8_is_replaced_in_the_message(tmp_path):
+    body = "import sys\nsys.stdin.read()\nsys.stderr.buffer.write(b'bad \\xff\\xfe tail')\nsys.exit(2)"
+    det = ExternalDetector(write_script(tmp_path, body))
+    with pytest.raises(AdapterProtocolError, match="code 2: bad \ufffd\ufffd tail"):
+        det.score("a")
+
+
+# --------------------------------------------------------------------------
+# the stacked route's processes
+
+DOCS = [Document.from_text(f"d{i}", "Mapa neki. Bodo lafi. Sota vira. Kemo rupa.") for i in range(3)]
+CFG = FilterConfig(tau=0.5, k=1)
+
+
+def launched(events) -> list[subprocess.Popen]:
+    return [proc for kind, proc in events if kind == "launch"]
+
+
+def assert_all_reaped(events) -> None:
+    for proc in launched(events):
+        assert proc.returncode is not None, "an adapter process is still running"
+        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
+
+
+def test_pass_two_process_starts_before_pass_one_is_fed(tmp_path, popens):
+    events, _, _ = popens
+    det = ExternalDetector(write_script(tmp_path, CONSTANT))
+    assert [r.score for r in score_corpus(det, DOCS, CFG)] == [0.25] * len(DOCS)
+    first, second = launched(events)
+    assert events == [("launch", first), ("launch", second), ("feed", first), ("feed", second)]
+    assert_all_reaped(events)
+
+
+def test_no_pass_one_texts_launches_one_process(tmp_path, popens):
+    events, _, _ = popens
+    det = ExternalDetector(write_script(tmp_path, CONSTANT))
+    assert [r.score for r in score_corpus(det, DOCS, FilterConfig(tau=0.0, k=1))] == [0.25] * len(DOCS)
+    (only,) = launched(events)
+    assert events == [("launch", only), ("feed", only)]
+    assert_all_reaped(events)
+
+
+def test_nested_stacked_base_hands_off_within_each_route(tmp_path, popens):
+    events, _, _ = popens
+    inner = stacked.StackedDetector(ExternalDetector(write_script(tmp_path, CONSTANT)), CFG)
+    assert [r.score for r in score_corpus(inner, DOCS[:1], CFG)] == [0.25]
+    # The outer route scores its 4 one-sentence groups through the inner
+    # one, one launch each since a lone group has no budget, then its
+    # retained text, with two launches.
+    assert len(launched(events)) == 4 + 2
+    assert_all_reaped(events)
+
+
+EXIT_AFTER_READING = "import sys\nsys.stdin.read()\nsys.exit(3)"
+SLEEP_AFTER_READING = "import sys, time\nsys.stdin.read()\ntime.sleep(30)"
+PRINT_NOTHING = "import sys\nsys.stdin.read()"
+
+
+@pytest.mark.parametrize(
+    "body, timeout, match",
+    [
+        # Pass 1 fails while pass 2's process waits on stdin.
+        (EXIT_AFTER_READING, None, "code 3"),
+        (SLEEP_AFTER_READING, 0.5, "timed out"),
+        (PRINT_NOTHING, None, "0 scores for 12 texts"),
+    ],
+    ids=["exit", "timeout", "count"],
+)
+def test_failed_pass_one_leaves_no_process(tmp_path, popens, body, timeout, match):
+    events, _, _ = popens
+    det = ExternalDetector(write_script(tmp_path, body), timeout=timeout)
+    with pytest.raises(AdapterProtocolError, match=match):
+        score_corpus(det, DOCS, CFG)
+    assert len(launched(events)) == 2
+    assert_all_reaped(events)
+
+
+def test_failed_launch_ahead_leaves_no_process(tmp_path, popens):
+    events, fail_launches, _ = popens
+    fail_launches.add(2)
+    det = ExternalDetector(write_script(tmp_path, CONSTANT))
+    with pytest.raises(AdapterProtocolError, match="cannot launch"):
+        score_corpus(det, DOCS, CFG)
+    assert len(launched(events)) == 1
+    assert_all_reaped(events)
+
+
+def test_error_between_the_passes_leaves_no_process(tmp_path, popens, monkeypatch):
+    events, _, _ = popens
+
+    def broken_rule(scores, cfg):
+        raise RuntimeError("mask rule failed")
+
+    monkeypatch.setattr(stacked, "compute_mask", broken_rule)
+    det = ExternalDetector(write_script(tmp_path, CONSTANT))
+    with pytest.raises(RuntimeError, match="mask rule failed"):
+        score_corpus(det, DOCS, CFG)
+    assert len(launched(events)) == 2
+    assert_all_reaped(events)
+
+
+@pytest.mark.parametrize("feed", [1, 2])
+def test_keyboard_interrupt_leaves_no_process(tmp_path, popens, feed):
+    events, _, interrupt_feeds = popens
+    interrupt_feeds.add(feed)
+    det = ExternalDetector(write_script(tmp_path, CONSTANT))
+    with pytest.raises(KeyboardInterrupt):
+        score_corpus(det, DOCS, CFG)
+    assert len(launched(events)) == 2
+    assert_all_reaped(events)

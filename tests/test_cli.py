@@ -783,6 +783,38 @@ def test_base_arms_launch_adapter_once(capsys, corpus_path, recorder):
     assert len(launches(log)) <= 3
 
 
+@pytest.mark.parametrize(
+    "tau, expected", [("0.5", ["launch 1", "launch 2", "feed 1", "feed 2"]), ("0", ["launch 1", "feed 1"])]
+)
+def test_detect_starts_pass_two_process_before_feeding_pass_one(capsys, corpus_path, recorder, popens, tau, expected):
+    # One process per non-empty pass, counted at Popen, not by the log the
+    # adapter writes; pass 2's starts before pass 1's texts are sent.
+    command, log = recorder
+    events, _, _ = popens
+    code, out, _ = run(capsys, ["detect", "--corpus", corpus_path, "--adapter", command, "--tau", tau, "--k", "1"])
+    assert code == 0 and len(out.splitlines()) == 40
+    procs = [proc for kind, proc in events if kind == "launch"]
+    assert [f"{kind} {procs.index(proc) + 1}" for kind, proc in events] == expected
+    assert len(launches(log)) == len(procs)
+    assert all(proc.returncode == 0 for proc in procs)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "import sys\nfor line in sys.stdin: sys.stdout.buffer.write(b'0.5\\xff\\n')\n",
+        "import sys\nsys.stdin.read()\nsys.stderr.buffer.write(b'\\xff\\xfe')\nsys.exit(2)\n",
+    ],
+    ids=["stdout", "stderr"],
+)
+def test_adapter_bytes_that_are_not_utf8_exit_5(capsys, corpus_path, tmp_path, body):
+    script = tmp_path / "bad_bytes.py"
+    script.write_text(body, encoding="utf-8")
+    code, out, err = run(capsys, ["detect", "--corpus", corpus_path, "--adapter", f"{sys.executable} {script}"])
+    assert (code, out) == (5, "")
+    assert "adapter error" in err
+
+
 ABBREV_DOCS = [
     {"id": "a", "label": 1, "text": "Dr. Lee wrote this. It was quiet. Mr. Park read it. Nobody spoke."},
     {"id": "b", "label": 0, "text": "St. Anne is old. The hall was quiet. Prof. Kim left. Then rain came."},
