@@ -73,15 +73,14 @@ class Detector(Protocol):
 def score_batch(detector: Detector, texts: Sequence[str]) -> list[float]:
     """``[detector.score(t) for t in texts]``, through the detector's own
     ``score_batch`` if it has one.  A built-in logistic model (by exact type:
-    a subclass may score otherwise) goes in chunks, each with one
-    ``_ChunkFeaturizer`` call and one ``np.unique``, bit for bit as its
-    ``score``; this bypasses the text-level cache, which held-out texts
-    hardly ever hit."""
+    a subclass may score otherwise) goes in chunks, each counted by one
+    ``_ChunkFeaturizer`` call, bit for bit as its ``score``; this bypasses
+    the text-level cache, which held-out texts hardly ever hit."""
     if type(detector) is NGramLogRegModel:
         featurize = _ChunkFeaturizer(detector)
         scores: list[float] = []
         for chunk in featurize.chunks((text, None) for text in texts):
-            block = featurize.count(featurize([parts for _, parts in chunk])[0], len(chunk))
+            block = featurize([units for _, (units,) in chunk])
             scores += map(sigmoid, detector._logits(*block, [len(text) for (text, _), _ in chunk]))
         return scores
     batch = getattr(detector, "score_batch", None)
@@ -272,16 +271,17 @@ _SCORE_CHUNK = 2**13
 
 
 class _ChunkFeaturizer:
-    """The n-grams of orders 1..n of chunks of texts under one model's
-    layout, for one call of a batch route.
+    """The counted n-grams of orders 1..n of chunks of texts under one
+    model's layout, for one call of a batch route.
 
     Each distinct unit (word token or character) gets an integer code once,
     through a dict, and each order's keys are built in numpy from the codes;
     one ``np.unique`` per order finds a chunk's distinct keys, and only a key
     new to the call is joined into its string and looked up in the layout's
-    bucket memo.  The
-    coders start over between chunks once they hold ``_BUCKET_MEMO_KEYS``
-    keys; a bucket is a pure function of its key, so no feature changes.
+    bucket memo.  Every n-gram has one owner, the text it lies in, and one
+    more ``np.unique`` counts each text's buckets.  The coders start over
+    between chunks once they hold ``_BUCKET_MEMO_KEYS`` keys; a bucket is a
+    pure function of its key, so no feature changes.
     """
 
     def __init__(self, model: "NGramLogRegModel") -> None:
@@ -320,44 +320,27 @@ class _ChunkFeaturizer:
         if chunk:
             yield chunk
 
-    def __call__(
-        self, texts: Sequence[Sequence[Sequence[int]]], owners: Sequence[int] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The keys ``owner * hash_buckets + bucket`` of the n-grams of orders
-        1..n of ``texts``, each given by its ``parts``, for ``count``: of
-        every n-gram inside text i, owned by ``owners[i]`` (default i), and
-        of every n-gram inside one odd part (1, 3, ...), owned by that part's
-        number among the odd parts of all texts."""
-        parts = list(chain.from_iterable(texts))
-        per_text = np.fromiter(map(len, texts), np.intp, len(texts))
-        sizes = np.fromiter(map(len, parts), np.intp, len(parts))
-        odd = (np.arange(len(parts)) - np.repeat(np.cumsum(per_text) - per_text, per_text)) % 2
-        owners = np.fromiter(range(len(texts)) if owners is None else owners, np.intp, len(texts))
-        owner = np.repeat(np.repeat(owners, per_text), sizes)
-        group = np.repeat(np.where(odd == 1, np.cumsum(odd) - 1, -1), sizes)
+    def __call__(self, texts: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The counted n-grams of orders 1..n of ``texts``, each a flat list
+        of unit codes: text i's distinct buckets, ascending, and their counts
+        are ``[bounds[i], bounds[i + 1])`` of ``(idx, counts, bounds)``.  An
+        n-gram counts only for the one text its units all lie in."""
+        sizes = np.fromiter(map(len, texts), np.intp, len(texts))
+        owner = np.repeat(np.arange(len(texts)), sizes)
         owner = np.append(owner, np.full(self.n, -1))  # so an n-gram running past the end is no text's
-        code = np.fromiter(chain.from_iterable(parts), np.int64, group.size)
+        code = np.fromiter(chain.from_iterable(texts), np.int64, owner.size - self.n)
         at, ids, buckets = np.arange(code.size), code, np.array(self.coders[0].buckets, np.intp)[code]
-        text_keys, group_keys = [], []
+        keys = []
         for order, coder in enumerate(self.coders, 1):
             if order > 1:
                 inside = owner[at] == owner[at + order - 1]
                 at, ids = at[inside], ids[inside]
-                keys, inverse = np.unique(ids << 32 | code[at + order - 1], return_inverse=True)
-                ids, buckets = (a[inverse] for a in coder.code(keys))
-            text_keys.append(owner[at] * self.hash_buckets + buckets)
-            first = group[at]
-            inside = (first >= 0) & (group[at + order - 1] == first)
-            group_keys.append(first[inside] * self.hash_buckets + buckets[inside])
-        return np.concatenate(text_keys), np.concatenate(group_keys)
-
-    def count(self, keys: np.ndarray, n_owners: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """Each owner's distinct buckets, ascending, and their counts, from
-        its keys, with one ``np.unique``: owner i, of ``range(n_owners)``,
-        holds ``[bounds[i], bounds[i + 1])`` of ``(idx, counts, bounds)``."""
-        keys, counts = np.unique(keys, return_counts=True)
+                grams, inverse = np.unique(ids << 32 | code[at + order - 1], return_inverse=True)
+                ids, buckets = (a[inverse] for a in coder.code(grams))
+            keys.append(owner[at] * self.hash_buckets + buckets)
+        keys, counts = np.unique(np.concatenate(keys), return_counts=True)
         owner, idx = np.divmod(keys, self.hash_buckets)
-        return idx, counts, np.searchsorted(owner, np.arange(n_owners + 1)).tolist()
+        return idx, counts, np.searchsorted(owner, np.arange(len(texts) + 1)).tolist()
 
 
 # --------------------------------------------------------------------------
@@ -425,9 +408,9 @@ class NGramLogRegModel:
         return sigmoid(self.logit(text))
 
     def _logits(self, idx: np.ndarray, counts: np.ndarray, bounds: list[int], lengths: Sequence[int]) -> list[float]:
-        """The logits of a run of texts of a ``_ChunkFeaturizer.count``
-        block, text i of ``lengths[i]`` characters owning ``bounds[i]:bounds[i
-        + 1]``: the same products, added in the same order, as ``logit``."""
+        """The logits of a run of texts of a ``_ChunkFeaturizer`` block, text
+        i of ``lengths[i]`` characters owning ``bounds[i]:bounds[i + 1]``: the
+        same products, added in the same order, as ``logit``."""
         start, stop = bounds[0], bounds[-1]
         terms = (self.weights[idx[start:stop]] * counts[start:stop]).tolist()
         texts = zip(bounds, bounds[1:], lengths)

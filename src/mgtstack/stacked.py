@@ -13,14 +13,14 @@ says whether the document filters and where its groups lie.  The routes:
   time (``_score_lm``): each group's tokens are looked up once, and the
   retained text's score is built from the kept groups' terms, bit for bit
   equal to scoring the reconstructed text.
-* An :class:`NGramLogRegModel` base featurizes each document once: a
-  group's n-grams are those of the document inside it, and a document that
-  keeps every group is scored from all of them.  Only one that drops a
-  group, or has a zero budget, featurizes its retained text.  Documents go
-  in chunks of about ``detectors._SCORE_CHUNK`` units; one ``_ChunkFeaturizer``
-  codes each chunk's n-grams in numpy, each pass counts the chunk with one
-  ``np.unique``, and every score equals the base's ``score`` of that text,
-  bit for bit.
+* An :class:`NGramLogRegModel` base cuts each document's units once.
+  Pass 1 featurizes each group's units as a text of its own; pass 2
+  featurizes each retained text, which for a document that keeps every
+  group, or has a zero budget, is its pass-1 units joined in order.
+  Documents go in chunks of about ``detectors._SCORE_CHUNK`` units; one
+  ``_ChunkFeaturizer`` call per pass and chunk codes and counts the chunk's
+  n-grams in numpy, and every score equals the base's ``score`` of that
+  text, bit for bit.
 * Every other base, a subclass of either built-in detector included, takes
   two batches: all groups of all documents in one ``score_batch`` call, then
   all retained texts in one more, so an adapter is launched once per pass,
@@ -46,7 +46,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 from .detectors import (
@@ -172,43 +172,39 @@ def _featurized_chunks(featurize: _ChunkFeaturizer, docs: Sequence[Document], cf
     """Pass 1 for a logistic base, in the featurizer's chunks of documents,
     which bound what either pass featurizes at once.
 
-    Yields, per chunk, its ``(row, parts)`` pairs of ``_cut`` rows; the
+    Yields, per chunk, its ``(row, parts)`` pairs of ``_cut`` rows and the
     counted block of the groups of every document with a non-zero budget,
-    with their lengths; and the keys of every n-gram of those documents'
-    texts, each owned by its row's position.
+    each group's piece featurized as a text of its own, with their lengths.
     """
     for chunk in featurize.chunks(_cut(doc, cfg) for doc in docs):
-        text_keys, group_keys = featurize([() if cuts is None else parts for (*_, cuts), parts in chunk])
+        block = featurize([group for (*_, cuts), parts in chunk if cuts for group in parts[1::2]])
         lengths = [b - a for (*_, cuts), _ in chunk if cuts for a, b in zip(cuts[1::2], cuts[2::2])]
-        yield chunk, (*featurize.count(group_keys, len(lengths)), lengths), text_keys
+        yield chunk, (*block, lengths)
 
 
 def _score_logreg(
     model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterConfig
 ) -> list[tuple[float, RetentionMask]]:
-    """Both passes for a logistic base, one ``np.unique`` per pass and chunk.
+    """Both passes for a logistic base, one featurizer call per pass and chunk.
 
-    A document that keeps every group is counted from its pass-1 n-grams;
-    one that drops a group, or has a zero budget, featurizes its retained
-    text.
+    Pass 2 counts every retained text of a chunk at once: a document that
+    keeps every group, or has a zero budget, as its pass-1 units joined in
+    order, which are its text's; one that drops a group from its retained
+    text's units.
     """
     featurize = _ChunkFeaturizer(model)
     out: list[tuple[float, RetentionMask]] = []
-    for chunk, block, text_keys in _featurized_chunks(featurize, docs, cfg):
+    for chunk, block in _featurized_chunks(featurize, docs, cfg):
         scores = iter(map(sigmoid, model._logits(*block)))
         retained = [
             _retain(doc, groups, None if cuts is None else list(islice(scores, len(groups))), cfg)
             for (doc, groups, _, cuts), _ in chunk
         ]
-        redo, texts = [], []
-        for i, (((*_, cuts), parts), (text, mask)) in enumerate(zip(chunk, retained)):
-            if cuts is None or not all(mask):
-                redo.append(i)
-                texts.append(parts if cuts is None else featurize.parts(text))
-        reused = np.ones(len(chunk), dtype=bool)
-        reused[redo] = False
-        keys = np.concatenate([text_keys[reused[text_keys // model.hash_buckets]], featurize(texts, redo)[0]])
-        logits = model._logits(*featurize.count(keys, len(chunk)), [len(text) for text, _ in retained])
+        texts = [
+            list(chain.from_iterable(parts)) if all(mask) else featurize.parts(text)[0]
+            for (_, parts), (text, mask) in zip(chunk, retained)
+        ]
+        logits = model._logits(*featurize(texts), [len(text) for text, _ in retained])
         out += zip(map(sigmoid, logits), (mask for _, mask in retained))
     return out
 
@@ -275,7 +271,7 @@ def _estep_store(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterC
     groups ``first[i]`` to ``first[i + 1]``, none when its budget is zero."""
     idx, counts, bounds, lengths, n_groups = [], [], [0], [], [0]
     chunks = _featurized_chunks(_ChunkFeaturizer(model), docs, cfg)
-    for rows, (chunk_idx, chunk_counts, chunk_bounds, chunk_lengths), _ in chunks:
+    for rows, (chunk_idx, chunk_counts, chunk_bounds, chunk_lengths) in chunks:
         idx.append(chunk_idx.astype(np.uint32))
         counts.append(chunk_counts.astype(np.uint32))
         start = bounds.pop()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -488,9 +489,10 @@ def owner_blocks(idx, counts, bounds) -> list[tuple[list[int], list[int]]]:
 )
 def test_chunk_featurizer_blocks_are_each_texts_and_groups_own(docs, feature_mode, n, k):
     # Cut where the logistic route cuts, at group boundaries, and featurize
-    # the documents in one chunk: each document's block is its own text's
-    # features, and each group's block its own text's, so no n-gram crosses
-    # a document or leaves a group.
+    # the documents' joined pieces in one call and the groups' pieces in
+    # another: each document's block is its own text's features, and each
+    # group's block its own text's, so no n-gram crosses a document or
+    # leaves a group.
     model = NGramLogRegModel.new(n, feature_mode, 2**20)
     featurize = _ChunkFeaturizer(model)
     cuts, group_spans = [], []
@@ -499,13 +501,13 @@ def test_chunk_featurizer_blocks_are_each_texts_and_groups_own(docs, feature_mod
         groups = group_subsequences(doc, k)
         cuts.append([0, *(c for lo, hi in groups for c in (spans[lo].start, spans[hi - 1].end)), len(doc.text)])
         group_spans += [(doc.text, a, b) for a, b in zip(cuts[-1][1::2], cuts[-1][2::2])]
-    text_keys, group_keys = featurize([featurize.parts(doc.text, c) for doc, c in zip(docs, cuts)])
+    parts = [featurize.parts(doc.text, c) for doc, c in zip(docs, cuts)]
 
     def own(text):  # __wrapped__ skips the text-level cache
         return tuple(a.tolist() for a in hashed_features.__wrapped__(text, feature_mode, n, 2**20, 0))
 
-    assert owner_blocks(*featurize.count(text_keys, len(docs))) == [own(doc.text) for doc in docs]
-    got = owner_blocks(*featurize.count(group_keys, len(group_spans)))
+    assert owner_blocks(*featurize([list(chain.from_iterable(p)) for p in parts])) == [own(doc.text) for doc in docs]
+    got = owner_blocks(*featurize([group for p in parts for group in p[1::2]]))
     assert got == [own(text[a:b]) for text, a, b in group_spans]
 
 
@@ -668,11 +670,33 @@ def reference_hard_em(base, data, tc):
     return model, trace
 
 
-@pytest.mark.parametrize("feature_mode, n, lr", [("word", 2, 1.0), ("char", 3, 0.01)])
-def test_hard_em_matches_first_pass_reference(feature_mode, n, lr):
+def fold_corpus(n_docs=60, seed=2):
+    """small_corpus with words whose casefold is longer than they are, so
+    the E-step store cuts each piece's own fold, while first_pass folds each
+    group's text."""
+    folds = {"Sasa": "İstanbul", "sate": "Straße", "saso": "ﬁne"}
+    data = []
+    for doc, label in small_corpus(n_docs, seed):
+        text = doc.text
+        for word, fold_changing in folds.items():
+            text = text.replace(word, fold_changing)
+        data.append((Document(doc.id, text, label), label))
+    return data
+
+
+@pytest.mark.parametrize(
+    "feature_mode, n, lr, corpus",
+    [
+        pytest.param("word", 2, 1.0, small_corpus, id="word-2-1.0"),
+        pytest.param("char", 3, 0.01, small_corpus, id="char-3-0.01"),
+        pytest.param("word", 2, 1.0, fold_corpus, id="folds-word-2-1.0"),
+        pytest.param("char", 3, 0.01, fold_corpus, id="folds-char-3-0.01"),
+    ],
+)
+def test_hard_em_matches_first_pass_reference(feature_mode, n, lr, corpus):
     # The E-step scores each document's stored pass-1 block with the current
     # weights; the trajectory must be the one first_pass gives, bit for bit.
-    data = small_corpus(n_docs=60, seed=2)
+    data = corpus(n_docs=60, seed=2)
     base = NGramLogRegModel.new(n=n, feature_mode=feature_mode, hash_buckets=4096)
     tc = TrainConfig(epochs=3, lr=lr, batch_size=16, seed=1, r_e=0.2, tau=0.4, k=1)
     model, trace = train_hard_em(base, data, tc)
