@@ -13,7 +13,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DegenerateDataset, InvalidConfig, _check_int, np
 from .segmentation import Document
@@ -85,6 +85,21 @@ def tpr_at_fpr(scores: Sequence[float], labels: Sequence[int], max_fpr: float) -
     return float((pos > threshold).sum()) / len(pos)
 
 
+# Resamples per generator call for equal class sizes: 16 x 2 x n int64
+# indices, 512 KB at n = 2000.
+_DRAW_CHUNK = 16
+
+
+def _resample_draws(rng: np.random.Generator, n_pos: int, n_neg: int, n_boot: int) -> Iterator[Sequence[np.ndarray]]:
+    """Each resample's (positive, negative) draw indices: the values and final
+    generator state of two ``rng.integers(0, size, size)`` calls per resample.
+    Equal sizes draw up to _DRAW_CHUNK resamples per ``(r, 2, n)`` call."""
+    if n_pos != n_neg:
+        return ((rng.integers(0, n_pos, n_pos), rng.integers(0, n_neg, n_neg)) for _ in range(n_boot))
+    chunks = (min(_DRAW_CHUNK, n_boot - start) for start in range(0, n_boot, _DRAW_CHUNK))
+    return (row for r in chunks for row in rng.integers(0, n_pos, (r, 2, n_pos)))
+
+
 def bootstrap_auroc_ci(
     pos_scores: Sequence[float],
     neg_scores: Sequence[float],
@@ -115,10 +130,9 @@ def bootstrap_auroc_ci(
     c = np.zeros(neg_distinct.size + 1, dtype=np.int64)
     pairs = pos.size * neg.size
     stats = np.empty(n_boot)
-    for b in range(n_boot):
-        drawn = pos_class[rng.integers(0, pos.size, pos.size)]
-        np.cumsum(np.bincount(neg_class[rng.integers(0, neg.size, neg.size)], minlength=neg_distinct.size), out=c[1:])
-        stats[b] = ((c[lo] + c[hi])[drawn].sum() / 2) / pairs
+    for b, (pos_draw, neg_draw) in enumerate(_resample_draws(rng, pos.size, neg.size, n_boot)):
+        np.add.accumulate(np.bincount(neg_class[neg_draw], minlength=neg_distinct.size), out=c[1:])
+        stats[b] = (np.add.reduce((c[lo] + c[hi])[pos_class[pos_draw]]) / 2) / pairs
     stats.sort()
     return _linear_quantile(stats, (1 - 0.95) / 2), _linear_quantile(stats, 1 - (1 - 0.95) / 2)
 

@@ -102,8 +102,8 @@ def categorical_world(delta: float) -> SentenceWorld:
     log-likelihood ratios, which pin every score to +-inf and make AUROC
     saturate instead of varying smoothly with n.
     """
-    if not (0.0 <= delta <= 1.0):
-        raise InvalidConfig(f"delta must be in [0, 1], got {delta!r}")
+    if not (0.0 <= delta < 1.0):
+        raise InvalidConfig(f"delta must be in [0, 1) for categorical worlds, got {delta!r}: 1 has disjoint supports")
     return SentenceWorld.categorical(
         h=((1.0 + delta) / 2.0, (1.0 - delta) / 2.0),
         m=((1.0 - delta) / 2.0, (1.0 + delta) / 2.0),

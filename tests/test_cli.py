@@ -1110,6 +1110,17 @@ def test_simulate_bad_filter_point_fails_before_any_point_runs(capsys, tmp_path,
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("deltas", ["1.0", "0.5,1.0"])
+def test_simulate_categorical_delta_one_fails_before_sampling(capsys, tmp_path, monkeypatch, deltas):
+    calls = []
+    monkeypatch.setattr(theory, "sample_texts", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, ["simulate", "--delta", deltas, "--n", "5", "--trials", "100", "--out", str(out)])
+    assert code == 2
+    assert "delta must be in [0, 1)" in err and "disjoint supports" in err
+    assert calls == [] and not out.exists()
+
+
 def test_simulate_gaussian_with_rho(capsys, tmp_path):
     out = tmp_path / "g.csv"
     code, _, _ = run(

@@ -25,7 +25,7 @@ from mgtstack import (
     split_dataset,
     tpr_at_fpr,
 )
-from mgtstack.evaluation import _linear_quantile
+from mgtstack.evaluation import _DRAW_CHUNK, _linear_quantile
 from mgtstack.theory import MixSpec, _lr_scores, categorical_world, gaussian_world, sample_texts
 
 from conftest import make_doc
@@ -285,6 +285,56 @@ def test_bootstrap_ci_on_simulator_classes_matches_reference(world, n, alpha, n_
     fast = bootstrap_auroc_ci(pos, neg, n_boot=3, rng=fast_rng)
     assert fast == reference_bootstrap_auroc_ci(pos, neg, 3, ref_rng)
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(
+    st.tuples(st.sampled_from([tied_scores, untied_scores]), st.integers(min_value=1, max_value=30)).flatmap(
+        lambda spec: st.tuples(*[st.lists(spec[0], min_size=spec[1], max_size=spec[1])] * 2)
+    ),
+    st.one_of(
+        st.sampled_from([1, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 1]),
+        st.integers(min_value=1, max_value=60),
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_bootstrap_ci_on_equal_classes_matches_reference_across_draw_chunks(classes, n_boot, seed):
+    # Equal class sizes draw whole chunks of resamples per generator call;
+    # the n_boot values put the last chunk at every size around the boundary.
+    pos, neg = classes
+    fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = bootstrap_auroc_ci(pos, neg, n_boot=n_boot, rng=fast_rng)
+    assert fast == reference_bootstrap_auroc_ci(pos, neg, n_boot, ref_rng)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "world, n, alpha",
+    [(categorical_world(0.5), 10, 0.3), (categorical_world(0.5), 40, 0.3), (gaussian_world(0.5), 10, 0.3)],
+    ids=["categorical-exact", "categorical-mixture", "gaussian-untied"],
+)
+def test_bootstrap_ci_on_simulator_classes_matches_reference_over_chunks(world, n, alpha):
+    pos, neg = simulator_classes(world, n, alpha, 2000, 2000, seed=2000 + n)
+    n_boot = 2 * _DRAW_CHUNK + 3  # two full chunks and a short one
+    fast_rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    fast = bootstrap_auroc_ci(pos, neg, n_boot=n_boot, rng=fast_rng)
+    assert fast == reference_bootstrap_auroc_ci(pos, neg, n_boot, ref_rng)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "bound", [1, 2, 3, 2000, 2**32, 2**32 + 1], ids=["zero-range", "2", "3", "2000", "full-32-bit", "64-bit"]
+)
+@pytest.mark.parametrize("r, m", [(1, 1), (3, 7), (16, 2000), (5, 2001)])
+def test_one_integers_call_draws_what_per_resample_calls_draw(bound, r, m):
+    # bootstrap_auroc_ci's equal-size fast path rests on this numpy property:
+    # a bounded fill of shape (r, 2, m) takes the values, and leaves the
+    # generator state, of 2r fills of size m, the 32-bit half-word buffer included.
+    one, many = np.random.default_rng(bound + m), np.random.default_rng(bound + m)
+    chunk = one.integers(0, bound, (r, 2, m))
+    calls = [many.integers(0, bound, m) for _ in range(2 * r)]
+    assert np.array_equal(chunk.reshape(2 * r, m), np.array(calls))
+    assert one.bit_generator.state == many.bit_generator.state
 
 
 @given(
