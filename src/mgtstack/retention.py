@@ -5,15 +5,11 @@ score falls below the evidence floor ``r_e`` AND it belongs to the
 ``floor(tau * n)`` lowest-scoring groups.  The budget keeps the filter from
 eating a document whose every group merely looks weak; the floor keeps it
 from dropping groups that still carry machine evidence.
-
-The naive rule (drop everything under 0.5) is kept for comparison, as is a
-seeded random rule used as an experimental control.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -113,22 +109,3 @@ def compute_mask(scores: Sequence[float], cfg: FilterConfig) -> RetentionMask:
         if scores[j] < cfg.r_e:
             bits[j] = 0
     return RetentionMask(tuple(_force_retain(bits, scores)))
-
-
-def naive_mask(scores: Sequence[float]) -> RetentionMask:
-    """Unconstrained rule: keep a group iff its score is at least 0.5."""
-    _validate_scores(scores)
-    bits = [1 if s >= 0.5 else 0 for s in scores]
-    return RetentionMask(tuple(_force_retain(bits, scores)))
-
-
-def random_mask(n_groups: int, drop_ratio: float, seed: int) -> RetentionMask:
-    """Drop exactly snap_floor(drop_ratio * n_groups) groups chosen uniformly,
-    so a ratio matches the constrained rule's budget for the same tau."""
-    _check_int(n_groups, "n_groups")
-    drop_ratio = _real(drop_ratio, "drop_ratio")
-    if not (0.0 <= drop_ratio < 1.0):
-        raise InvalidConfig(f"drop_ratio must be in [0, 1), got {drop_ratio!r}")
-    rng = random.Random(seed)
-    dropped = set(rng.sample(range(n_groups), snap_floor(drop_ratio * n_groups)))
-    return RetentionMask(tuple(0 if j in dropped else 1 for j in range(n_groups)))

@@ -35,10 +35,9 @@ store is built from that type's featurization.  It alternates a hard E-step
 (pass 1 over the current batch with the current parameters) with a single
 gradient-ascent M-step on the retained texts, masks held constant.  Each
 training document is featurized for the E-step once per run, and every
-E-step scores its groups from that store.  Plain training runs the same
-epoch loop on the full texts.  With tau = 0 nothing can be filtered and the
-parameter trajectory is bitwise identical to plain training under the same
-seed.
+E-step scores its groups from that store.  With tau = 0 nothing can be
+filtered and the parameter trajectory is bitwise identical to plain training
+on the full texts under the same seed.
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .detectors import (
     Detector,
-    LabeledText,
     NGramLMDetector,
     NGramLogRegModel,
     TrainConfig,
@@ -282,30 +280,6 @@ def _estep_store(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterC
     return block, np.cumsum(n_groups)
 
 
-def _train(model: NGramLogRegModel, n: int, tc: TrainConfig, batch: Callable) -> tuple[NGramLogRegModel, TrainTrace]:
-    """The epoch loop of both trainings, over ``n`` documents shuffled per
-    epoch: ``batch(model, batch_idx)`` gives a step's (text, label) pairs,
-    filtered group count and total group count, and one ascent step on the
-    pairs follows."""
-    rng = random.Random(tc.seed)
-    records: list[EpochRecord] = []
-    for epoch in range(tc.epochs):
-        started = time.perf_counter()
-        order = list(range(n))
-        rng.shuffle(order)
-        starts = range(0, n, tc.batch_size)
-        q_sum, filtered, groups_total = 0.0, 0, 0
-        for start in starts:
-            pairs, n_filtered, n_groups = batch(model, order[start : start + tc.batch_size])
-            filtered += n_filtered
-            groups_total += n_groups
-            q_sum += bin_log_likelihood(model, pairs)
-            model = grad_update(model, pairs, tc.lr)
-        fraction = filtered / groups_total if groups_total else 0.0
-        records.append(EpochRecord(epoch, q_sum / len(starts), fraction, time.perf_counter() - started))
-    return model, TrainTrace(tuple(records))
-
-
 def train_hard_em(
     base: NGramLogRegModel, data: Sequence[LabeledDoc], tc: TrainConfig
 ) -> tuple[NGramLogRegModel, TrainTrace]:
@@ -321,32 +295,28 @@ def train_hard_em(
     _check_training_data(base, data)
     cfg = tc.filter_config()
     (idx, counts, bounds, lengths), first = _estep_store(base, [doc for doc, _ in data], cfg)
-
-    def e_step(model: NGramLogRegModel, batch_idx: list[int]) -> tuple[list[LabeledText], int, int]:
-        masked, filtered, groups_total = [], 0, 0
-        for i in batch_idx:
-            (doc, label), (p, q) = data[i], first[i : i + 2]
-            scores = None
-            if p < q:
-                logits = model._logits(idx, counts, bounds[p : q + 1].tolist(), lengths[p:q].tolist())
-                scores = list(map(sigmoid, logits))
-            text, mask = _retain(doc, group_subsequences(doc, cfg.k), scores, cfg)
-            masked.append((text, label))
-            filtered += mask.n_filtered
-            groups_total += len(mask)
-        return masked, filtered, groups_total
-
-    return _train(base, len(data), tc, e_step)
-
-
-def train_plain(
-    base: NGramLogRegModel, data: Sequence[LabeledDoc], tc: TrainConfig
-) -> tuple[NGramLogRegModel, TrainTrace]:
-    """The same loop with no filtering: every step sees the full text.
-
-    Kept as an explicit function so the tau = 0 equivalence can be checked
-    end to end (same seed, bitwise-identical parameter trajectory).
-    """
-    _check_training_data(base, data)
-    texts = [(doc.text, label) for doc, label in data]
-    return _train(base, len(data), tc, lambda _, batch_idx: ([texts[i] for i in batch_idx], 0, 0))
+    rng = random.Random(tc.seed)
+    model, records = base, []
+    for epoch in range(tc.epochs):
+        started = time.perf_counter()
+        order = list(range(len(data)))
+        rng.shuffle(order)
+        starts = range(0, len(data), tc.batch_size)
+        q_sum, filtered, groups_total = 0.0, 0, 0
+        for start in starts:
+            masked = []
+            for i in order[start : start + tc.batch_size]:  # E-step
+                (doc, label), (p, q) = data[i], first[i : i + 2]
+                scores = None
+                if p < q:
+                    logits = model._logits(idx, counts, bounds[p : q + 1].tolist(), lengths[p:q].tolist())
+                    scores = list(map(sigmoid, logits))
+                text, mask = _retain(doc, group_subsequences(doc, cfg.k), scores, cfg)
+                masked.append((text, label))
+                filtered += mask.n_filtered
+                groups_total += len(mask)
+            q_sum += bin_log_likelihood(model, masked)
+            model = grad_update(model, masked, tc.lr)  # M-step
+        fraction = filtered / groups_total if groups_total else 0.0
+        records.append(EpochRecord(epoch, q_sum / len(starts), fraction, time.perf_counter() - started))
+    return model, TrainTrace(tuple(records))

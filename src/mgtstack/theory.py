@@ -10,8 +10,8 @@ Texts are scored with the likelihood ratio log M(S) - log H(S) of the true
 generative model, i.e. the best score any detector could compute.  For the
 mixed class, M marginalizes over which positions are human-like: exactly
 (every position subset, via a dynamic program) for small n, or with the
-standard per-sentence mixture factorization for large n.  Both modes are
-exposed; they agree in the exchangeable IID limit.
+standard per-sentence mixture factorization for large n; the mode follows
+n alone, and the two agree in the exchangeable IID limit.
 
 An oracle filter can strip a known share of human-like sentences (and a
 share of machine ones) before scoring, which is how the benefit and the
@@ -295,17 +295,11 @@ def _lr_scores(
     values: np.ndarray, world: SentenceWorld, n_human_like: int, mode: str
 ) -> np.ndarray:
     """log M(S) - log H(S) for a batch of texts, shape (trials, n[, dim]);
-    M marginalizes n_human_like human-like positions, exactly ("exact") or
-    factorized ("mixture"); "auto" picks by n (_score_mode)."""
-    if mode == "auto":
-        mode = _score_mode(values.shape[1])
-    if mode not in ("exact", "mixture"):
-        raise InvalidConfig(f"mode must be 'exact', 'mixture' or 'auto', got {mode!r}")
+    M marginalizes n_human_like (0 to n) human-like positions, exactly
+    ("exact") or factorized ("mixture")."""
     log_h, log_m = _position_log_densities(values, world)
     trials, n = log_h.shape
     k = n_human_like
-    if not (0 <= k <= n):
-        raise InvalidConfig(f"n_human_like must be in [0, {n}], got {k}")
     log_h_total = log_h.sum(axis=1)
     if k == 0:
         return log_m.sum(axis=1) - log_h_total
@@ -324,34 +318,6 @@ def _lr_scores(
         shifted = np.concatenate([neg_inf, f[:, :-1]], axis=1)
         f = np.logaddexp(f + log_m[:, j : j + 1], shifted + log_h[:, j : j + 1])
     return f[:, k] - _log_binomial(n, k) - log_h_total
-
-
-def likelihood_ratio_score(
-    sentences: np.ndarray | Sequence,
-    world: SentenceWorld,
-    mix: MixSpec,
-    mode: str = "auto",
-) -> float:
-    """Optimal-score statistic log M(S) - log H(S) for one text.
-
-    Defined for exchangeable (rho = 0) compositions; "auto" scores exactly
-    up to EXACT_N_MAX sentences and with the per-sentence mixture beyond.
-    """
-    if mix.rho != 0.0:
-        raise UnsupportedCombination(
-            "the likelihood-ratio score assumes independent sentences (rho = 0)"
-        )
-    values = np.asarray(sentences)
-    if world.kind == "categorical":
-        if values.ndim != 1:
-            raise InvalidConfig("categorical text must be a flat symbol sequence")
-    elif values.ndim != 2 or values.shape[1] != world.dim:
-        raise InvalidConfig(f"gaussian text must have shape (n, {world.dim})")
-    n = values.shape[0]
-    if n != mix.n:
-        raise InvalidConfig(f"text has {n} sentences but mix.n = {mix.n}")
-    batch = values.reshape(1, *values.shape)
-    return float(_lr_scores(batch, world, mix.n_human_like, mode)[0])
 
 
 # --------------------------------------------------------------------------
@@ -523,8 +489,12 @@ def run_experiment(
     for p in points:
         if int(p["trials"]) < 100:
             raise InvalidConfig("at least 100 trials per class are required for reported AUROC")
-        # Every point's filter is checked before any point runs.
+        # Every point's rho and filter are checked before any point runs.
         mix, fspec = _point_specs(p)
+        if mix.rho and cfg.world.kind == "categorical":
+            raise UnsupportedCombination(
+                f"grid point rho = {p['rho']}: dependent (rho > 0) sampling is defined for gaussian worlds only"
+            )
         try:
             _removal_counts(fspec, mix.n, mix.n_human_like)
         except InvalidFilterSpec as exc:

@@ -42,7 +42,6 @@ from mgtstack import (
     grad_update,
     human_sentence_pool,
     inject_human_sentences,
-    random_mask,
     run_experiment,
     save_corpus,
     save_model,
@@ -50,10 +49,11 @@ from mgtstack import (
     synth_corpus,
     tpr_at_fpr,
     train_hard_em,
-    train_plain,
 )
 from mgtstack.cli import main as cli_main
 from mgtstack.segmentation import group_subsequences, reconstruct
+
+from baselines import random_mask, train_plain
 
 
 def _criterion(capsys, num: int, ok: bool, detail: str) -> None:

@@ -1121,6 +1121,18 @@ def test_simulate_categorical_delta_one_fails_before_sampling(capsys, tmp_path, 
     assert calls == [] and not out.exists()
 
 
+def test_simulate_categorical_rho_fails_before_any_point_runs(capsys, tmp_path, monkeypatch):
+    calls = []
+    run_point = theory._run_point
+    monkeypatch.setattr(theory, "_run_point", lambda task: calls.append(task) or run_point(task))
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--world", "categorical", "--n", "40", "--alpha", "0.3", "--rho", "0,0.5"]
+    code, _, err = run(capsys, [*argv, "--trials", "100", "--out", str(out)])
+    assert code == 2
+    assert "grid point rho = 0.5: " in err and "gaussian worlds only" in err
+    assert calls == [] and not out.exists()
+
+
 def test_simulate_gaussian_with_rho(capsys, tmp_path):
     out = tmp_path / "g.csv"
     code, _, _ = run(

@@ -26,7 +26,7 @@ from mgtstack import (
     tpr_at_fpr,
 )
 from mgtstack.evaluation import _DRAW_CHUNK, _linear_quantile
-from mgtstack.theory import MixSpec, _lr_scores, categorical_world, gaussian_world, sample_texts
+from mgtstack.theory import MixSpec, _lr_scores, _score_mode, categorical_world, gaussian_world, sample_texts
 
 from conftest import make_doc
 
@@ -220,23 +220,41 @@ def test_bootstrap_ci_rejects_bad_scores_before_drawing(bad, side):
     assert rng.bit_generator.state == state
 
 
+tied_scores = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
+untied_scores = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+def pairwise_auroc(pos, neg):
+    """The pairwise definition over the full comparison matrix: wins and
+    ties are integer counts, so it equals brute_force_auroc bit for bit."""
+    wins, ties = np.count_nonzero(pos[:, None] > neg), np.count_nonzero(pos[:, None] == neg)
+    return (wins + ties / 2) / (pos.size * neg.size)
+
+
+@given(
+    st.sampled_from([tied_scores, untied_scores]).flatmap(
+        lambda scores: st.tuples(st.lists(scores, min_size=1, max_size=30), st.lists(scores, min_size=1, max_size=30))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_pairwise_count_matches_brute_force_auroc_bit_for_bit(classes):
+    pos, neg = classes
+    labels = [1] * len(pos) + [0] * len(neg)
+    assert pairwise_auroc(np.array(pos), np.array(neg)) == brute_force_auroc(pos + neg, labels)
+
+
 def reference_bootstrap_auroc_ci(pos_scores, neg_scores, n_boot, rng):
     """The resample loop, each resample scored by the pairwise definition, and
     the 95% percentile interval of its statistics."""
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
-    labels = np.r_[np.ones(pos.size, dtype=np.int64), np.zeros(neg.size, dtype=np.int64)]
     stats = np.empty(n_boot)
     for b in range(n_boot):
         ps = pos[rng.integers(0, pos.size, pos.size)]
         ns = neg[rng.integers(0, neg.size, neg.size)]
-        stats[b] = brute_force_auroc(np.r_[ps, ns].tolist(), labels)
+        stats[b] = pairwise_auroc(ps, ns)
     lo, hi = np.quantile(stats, [(1 - 0.95) / 2, 1 - (1 - 0.95) / 2])
     return float(lo), float(hi)
-
-
-tied_scores = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
-untied_scores = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
 @given(
@@ -264,7 +282,7 @@ def simulator_classes(world, n, alpha, n_pos, n_neg, seed):
     machine, _ = sample_texts(world, mix, "machine_mixed", rng, n_pos)
     human, _ = sample_texts(world, mix, "human", rng, n_neg)
     k = mix.n_human_like
-    return _lr_scores(machine, world, k, "auto"), _lr_scores(human, world, k, "auto")
+    return _lr_scores(machine, world, k, _score_mode(n)), _lr_scores(human, world, k, _score_mode(n))
 
 
 @pytest.mark.parametrize(

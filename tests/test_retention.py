@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtstack import FilterConfig, InvalidConfig, RetentionMask, compute_mask, naive_mask, random_mask
+from mgtstack import FilterConfig, InvalidConfig, RetentionMask, compute_mask
+
+from baselines import naive_mask, random_mask
 
 # Independent oracle: derive the drop set by pairwise rank counting instead
 # of sorting.  A group is dropped iff it scores below r_e and fewer than

@@ -34,7 +34,6 @@ from mgtstack import (
     synth_corpus,
     tokenize,
     train_hard_em,
-    train_plain,
 )
 
 from mgtstack.detectors import _BOS, _ChunkFeaturizer, hashed_features
@@ -43,6 +42,7 @@ from mgtstack.segmentation import group_subsequences, group_texts, reconstruct
 from mgtstack import detectors, stacked
 from mgtstack.stacked import first_pass
 
+from baselines import train_plain
 from conftest import MapDetector, make_doc
 
 SENTS = ["Aa zz.", "Bb qq.", "Cc xx.", "Dd vv.", "Ee ww.", "Ff zz."]
@@ -288,9 +288,8 @@ def test_training_takes_exactly_the_logistic_model():
     base = NGramLogRegModel.new(n=1, hash_buckets=64)
     sub = FlippedLogReg(base.n, base.feature_mode, base.hash_buckets, base.weights, base.bias)
     data = small_corpus(n_docs=10)
-    for train in (train_hard_em, train_plain):
-        with pytest.raises(InvalidConfig, match="FlippedLogReg"):
-            train(sub, data, TrainConfig(epochs=1))
+    with pytest.raises(InvalidConfig, match="FlippedLogReg"):
+        train_hard_em(sub, data, TrainConfig(epochs=1))
 
 
 # Words whose casefold is longer than they are (İ -> i + U+0307, ß -> ss,
@@ -635,9 +634,8 @@ def test_training_rejects_bad_labels():
 def test_training_rejects_untrainable_base():
     data = small_corpus(n_docs=10)
     lm = NGramLMDetector.fit([d for d, _ in data])
-    for train in (train_hard_em, train_plain):
-        with pytest.raises(InvalidConfig):
-            train(lm, data, TrainConfig(epochs=1))
+    with pytest.raises(InvalidConfig):
+        train_hard_em(lm, data, TrainConfig(epochs=1))
 
 
 def test_training_is_seed_deterministic():

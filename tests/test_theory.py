@@ -22,7 +22,6 @@ from mgtstack import (
     categorical_world,
     filter_condition_ok,
     gaussian_world,
-    likelihood_ratio_score,
     run_experiment,
     sample_texts,
     tv_distance,
@@ -220,6 +219,13 @@ def test_unknown_text_class_is_rejected():
 # likelihood-ratio scoring
 
 
+def likelihood_ratio_score(values, world, mix, mode=None):
+    """One text's score, through the batch scorer; the mode defaults to the
+    one the simulator picks for its length."""
+    mode = mode or theory._score_mode(mix.n)
+    return float(theory._lr_scores(np.asarray(values)[None], world, mix.n_human_like, mode)[0])
+
+
 def test_lr_single_sentence_log2():
     w = SentenceWorld.categorical((1.0 / 3.0, 2.0 / 3.0), (2.0 / 3.0, 1.0 / 3.0))
     score = likelihood_ratio_score(np.array([0]), w, MixSpec(n=1))
@@ -294,34 +300,8 @@ def test_filtering_down_to_human_like_sentences_scores_at_chance():
     assert (row["score_mode"], row["auroc"], row["ci_lo"], row["ci_hi"]) == ("mixture", 0.5, 0.5, 0.5)
 
 
-def test_lr_auto_mode_switches_at_exact_limit():
-    w = categorical_world(0.5)
-    rng = np.random.default_rng(7)
-    v12 = rng.integers(0, 2, size=12)
-    mix12 = MixSpec(n=12, alpha=0.25)
-    assert likelihood_ratio_score(v12, w, mix12, "auto") == likelihood_ratio_score(
-        v12, w, mix12, "exact"
-    )
-    v13 = rng.integers(0, 2, size=13)
-    mix13 = MixSpec(n=13, alpha=0.25)
-    assert likelihood_ratio_score(v13, w, mix13, "auto") == likelihood_ratio_score(
-        v13, w, mix13, "mixture"
-    )
-
-
-def test_lr_rejects_dependence_and_bad_shapes():
-    w = categorical_world(0.5)
-    with pytest.raises(UnsupportedCombination):
-        likelihood_ratio_score(np.array([0, 1]), w, MixSpec(n=2, rho=0.5))
-    with pytest.raises(InvalidConfig):
-        likelihood_ratio_score(np.array([0, 1, 0]), w, MixSpec(n=2))
-    with pytest.raises(InvalidConfig):
-        likelihood_ratio_score(np.array([[0.0, 1.0]]), w, MixSpec(n=1))
-    g = gaussian_world(0.4, dim=2)
-    with pytest.raises(InvalidConfig):
-        likelihood_ratio_score(np.zeros((3, 5)), g, MixSpec(n=3))
-    with pytest.raises(InvalidConfig):
-        likelihood_ratio_score(np.array([0, 1]), w, MixSpec(n=2), mode="psychic")
+def test_score_mode_switches_at_exact_limit():
+    assert (theory.EXACT_N_MAX, theory._score_mode(12), theory._score_mode(13)) == (12, "exact", "mixture")
 
 
 # --------------------------------------------------------------------------
@@ -550,6 +530,17 @@ def test_run_experiment_filter_overdraw_is_invalid(monkeypatch):
     assert calls == []
     run_experiment(cfg, sweep={"n": [5], "alpha_s": [0.0, 0.1]})
     assert len(calls) == 2
+
+
+def test_run_experiment_rejects_categorical_rho_before_sampling(monkeypatch):
+    # The rho = 0 point would run first; the rho = 0.5 point is rejected,
+    # naming its grid point, before any point samples.
+    calls = []
+    monkeypatch.setattr(theory, "sample_texts", lambda *a, **k: calls.append(a))
+    cfg = SimConfig(world=categorical_world(0.5), mix=MixSpec(n=40, alpha=0.3), trials=100, seed=0)
+    with pytest.raises(UnsupportedCombination, match=r"grid point rho = 0\.5: .*gaussian worlds only"):
+        run_experiment(cfg, sweep={"rho": [0.0, 0.5]})
+    assert calls == []
 
 
 # --------------------------------------------------------------------------
