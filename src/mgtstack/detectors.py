@@ -320,7 +320,7 @@ class _ChunkFeaturizer:
         if chunk:
             yield chunk
 
-    def __call__(self, texts: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def __call__(self, texts: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The counted n-grams of orders 1..n of ``texts``, each a flat list
         of unit codes: text i's distinct buckets, ascending, and their counts
         are ``[bounds[i], bounds[i + 1])`` of ``(idx, counts, bounds)``.  An
@@ -340,7 +340,7 @@ class _ChunkFeaturizer:
             keys.append(owner[at] * self.hash_buckets + buckets)
         keys, counts = np.unique(np.concatenate(keys), return_counts=True)
         owner, idx = np.divmod(keys, self.hash_buckets)
-        return idx, counts, np.searchsorted(owner, np.arange(len(texts) + 1)).tolist()
+        return idx, counts, np.searchsorted(owner, np.arange(len(texts) + 1))
 
 
 # --------------------------------------------------------------------------
@@ -349,8 +349,8 @@ class _ChunkFeaturizer:
 
 def _checked_logit(bias: float, terms: Iterable[float], length: int) -> float:
     """bias + terms, added in index order (not np.sum/np.dot, whose order
-    differs), for the one text the terms belong to, of ``length`` characters;
-    a non-finite result is a NumericalError."""
+    differs), for ``logit``'s one text, of ``length`` characters; a non-finite
+    result is a NumericalError.  ``_logits`` matches it bit for bit."""
     z = _running_sum(terms, bias)
     if not math.isfinite(z):
         raise NumericalError(f"non-finite logit for text of length {length}")
@@ -407,14 +407,32 @@ class NGramLogRegModel:
     def score(self, text: str) -> float:
         return sigmoid(self.logit(text))
 
-    def _logits(self, idx: np.ndarray, counts: np.ndarray, bounds: list[int], lengths: Sequence[int]) -> list[float]:
-        """The logits of a run of texts of a ``_ChunkFeaturizer`` block, text
-        i of ``lengths[i]`` characters owning ``bounds[i]:bounds[i + 1]``: the
-        same products, added in the same order, as ``logit``."""
-        start, stop = bounds[0], bounds[-1]
-        terms = (self.weights[idx[start:stop]] * counts[start:stop]).tolist()
-        texts = zip(bounds, bounds[1:], lengths)
-        return [_checked_logit(self.bias, terms[a - start : b - start], n) for a, b, n in texts]
+    def _logits(self, idx: np.ndarray, counts: np.ndarray, bounds: np.ndarray, lengths: Sequence[int]) -> list[float]:
+        """Each text's ``_checked_logit``, bit for bit, by ``_column_sums``:
+        text i, of ``lengths[i]`` characters, owns ``bounds[i]:bounds[i + 1]``
+        of ``idx`` and ``counts``.  The first non-finite logit raises."""
+        z = _column_sums(self.bias, self.weights[idx] * counts, bounds[1:] - bounds[:-1])
+        if not np.isfinite(z).all():
+            raise NumericalError(f"non-finite logit for text of length {lengths[np.flatnonzero(~np.isfinite(z))[0]]}")
+        return z.tolist()
+
+
+def _column_sums(bias: float, terms: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``bias`` plus text i's ``sizes[i]`` terms, in ``_running_sum``'s order:
+    column i is the bias, the terms, then -0.0, which keeps every float, and
+    ``np.add.accumulate`` adds down axis 0.  Where one height would more than
+    double the cells, band b (2**(b-1) to 2**b - 1 terms) goes apart."""
+    height = np.maximum.reduce(sizes, initial=0) + 1
+    if sizes.size * height > 2 * (terms.size + sizes.size):
+        band, z = np.frexp(sizes)[1], np.empty(sizes.size)
+        for b in np.unique(band).tolist():
+            texts = band == b
+            z[texts] = _column_sums(bias, terms[np.repeat(texts, sizes)], sizes[texts])
+        return z
+    cells = np.full((height, sizes.size), -0.0)
+    cells[0] = bias
+    cells[1:].T[np.arange(1, height) <= sizes[:, None]] = terms
+    return np.add.accumulate(cells, out=cells)[-1]
 
 
 LabeledText = tuple[str, int]
@@ -428,17 +446,24 @@ def _check_batch(batch: Sequence[LabeledText]) -> None:
             raise InvalidConfig(f"labels must be 0 or 1, got {y!r}")
 
 
+def _batch_scores(model: NGramLogRegModel, batch: Sequence[LabeledText], link=sigmoid) -> tuple:
+    """The batch's block, each text's features looked up once, and ``link`` of each logit."""
+    feats = [model.features(text) for text, _ in batch]
+    idx, counts = (np.concatenate(a) for a in zip(*feats))
+    bounds = np.cumsum([0, *(i.size for i, _ in feats)])
+    return idx, counts, bounds, list(map(link, model._logits(idx, counts, bounds, [len(t) for t, _ in batch])))
+
+
 def bin_log_likelihood(model: NGramLogRegModel, batch: Sequence[LabeledText]) -> float:
     """Mean binary log-likelihood of the batch under the model.
 
-    Computed from logits, so it stays finite for any finite parameters.  This
-    is the objective whose gradient grad_update ascends; mean (not sum) per
-    batch, matching the documented update convention.
+    Computed from logits, in one ``_logits`` call (never a subclass's
+    ``logit``), so it stays finite for any finite parameters.  The objective
+    grad_update ascends; mean (not sum) per batch, as documented.
     """
     _check_batch(batch)
     total = 0.0
-    for text, y in batch:
-        z = model.logit(text)
+    for (_, y), z in zip(batch, _batch_scores(model, batch, float)[3]):
         # log p = -softplus(-z), log(1-p) = -softplus(z)
         total += -_softplus(-z) if y == 1 else -_softplus(z)
     value = total / len(batch)
@@ -452,23 +477,20 @@ def grad_update(
 ) -> NGramLogRegModel:
     """One gradient-ascent step on the mean batch log-likelihood.
 
-    The input model is left untouched; a new model is returned.  eta = 0
-    reproduces the input parameters exactly.
+    A new model; the input, scored in one ``_logits`` call (never by a
+    subclass's ``score``), is left untouched.  eta = 0 keeps its parameters.
     """
     _check_batch(batch)
     eta = _real(eta, "learning rate")
     if not math.isfinite(eta) or eta < 0:
         raise InvalidConfig(f"learning rate must be finite and >= 0, got {eta!r}")
-    resid, feats = [], []
-    for text, y in batch:
-        resid.append(y - model.score(text))
-        feats.append(model.features(text))
-    idx, counts = (np.concatenate(a) for a in zip(*feats))
+    idx, counts, bounds, scores = _batch_scores(model, batch)
+    resid = [y - score for (_, y), score in zip(batch, scores)]
     # Only the touched indices of the dense gradient; bincount adds each
     # index's terms in batch order, as a dense sum does, so bits match it.
     touched, slot = np.unique(idx, return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below raise instead
-        terms = np.repeat(resid, [i.size for i, _ in feats]) * counts
+        terms = np.repeat(resid, np.diff(bounds)) * counts
         grad_w = np.bincount(slot, terms, touched.size) / len(batch)
     grad_b = _running_sum(resid) / len(batch)
     if not np.isfinite(grad_w).all():
@@ -559,9 +581,9 @@ class _TermTable(dict):
 
 
 def _running_sum(values: Iterable[float], start: float = 0.0) -> float:
-    """Left-to-right float sum from ``start``.  Not ``sum()``: Python 3.12
-    compensates float sums, and every score must add its terms in the same
-    order on every route."""
+    """Left-to-right float sum from ``start``, the order ``_column_sums`` keeps
+    for a block.  Not ``sum()``: Python 3.12 compensates float sums, and every
+    score must add its terms in the same order on every route."""
     total = start
     for v in values:
         total += v

@@ -34,10 +34,10 @@ Training takes exactly an :class:`NGramLogRegModel`, since the E-step's
 store is built from that type's featurization.  It alternates a hard E-step
 (pass 1 over the current batch with the current parameters) with a single
 gradient-ascent M-step on the retained texts, masks held constant.  Each
-training document is featurized for the E-step once per run, and every
-E-step scores its groups from that store.  With tau = 0 nothing can be
-filtered and the parameter trajectory is bitwise identical to plain training
-on the full texts under the same seed.
+training document is featurized for the E-step once per run.  Each E-step
+scores its batch's stored groups in one ``_logits`` call, and so do
+``bin_log_likelihood`` and ``grad_update`` with the batch.  With tau = 0
+nothing is filtered: the trajectory is bitwise plain training's, same seed.
 """
 
 from __future__ import annotations
@@ -233,6 +233,10 @@ def stacked_infer_detail(sd: StackedDetector, doc: Document) -> StackedResult:
 # hard-EM training
 
 
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:  # starts[i] + 0..sizes[i] - 1, i by i
+    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+
+
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
@@ -267,16 +271,15 @@ def _estep_store(model: NGramLogRegModel, docs: Sequence[Document], cfg: FilterC
     block of all their groups, as arrays (idx and counts as uint32: a count
     of 2**32 would need a group of 4 G units), and ``first``: document i owns
     groups ``first[i]`` to ``first[i + 1]``, none when its budget is zero."""
-    idx, counts, bounds, lengths, n_groups = [], [], [0], [], [0]
+    idx, counts, sizes, lengths, n_groups = [], [], [], [], [0]
     chunks = _featurized_chunks(_ChunkFeaturizer(model), docs, cfg)
     for rows, (chunk_idx, chunk_counts, chunk_bounds, chunk_lengths) in chunks:
         idx.append(chunk_idx.astype(np.uint32))
         counts.append(chunk_counts.astype(np.uint32))
-        start = bounds.pop()
-        bounds += (start + b for b in chunk_bounds)
+        sizes += np.diff(chunk_bounds).tolist()
         lengths += chunk_lengths
         n_groups += (0 if cuts is None else len(groups) for (_, groups, _, cuts), _ in rows)
-    block = (np.concatenate(idx), np.concatenate(counts), np.array(bounds), np.array(lengths))
+    block = (np.concatenate(idx), np.concatenate(counts), np.cumsum([0, *sizes]), np.array(lengths))
     return block, np.cumsum(n_groups)
 
 
@@ -289,8 +292,8 @@ def train_hard_em(
     labels unseen), then one ascent step is taken on the mean log-likelihood
     of the retained texts (M-step, masks constant).  Returns the final model
     and a per-epoch trace of the objective and realized filtering rate.  The
-    E-step gathers the current weights over each document's stored pass-1
-    block: the same scores as :func:`first_pass`, bit for bit.
+    E-step gathers its batch's stored pass-1 groups into one ``_logits``
+    call: the same scores as :func:`first_pass`, bit for bit.
     """
     _check_training_data(base, data)
     cfg = tc.filter_config()
@@ -304,14 +307,14 @@ def train_hard_em(
         starts = range(0, len(data), tc.batch_size)
         q_sum, filtered, groups_total = 0.0, 0, 0
         for start in starts:
-            masked = []
-            for i in order[start : start + tc.batch_size]:  # E-step
-                (doc, label), (p, q) = data[i], first[i : i + 2]
-                scores = None
-                if p < q:
-                    logits = model._logits(idx, counts, bounds[p : q + 1].tolist(), lengths[p:q].tolist())
-                    scores = list(map(sigmoid, logits))
-                text, mask = _retain(doc, group_subsequences(doc, cfg.k), scores, cfg)
+            batch, masked = order[start : start + tc.batch_size], []
+            p, q = first[batch], first[np.add(batch, 1)]  # the batch's groups, and their terms
+            groups, at = _ranges(p, q - p), _ranges(bounds[p], bounds[q] - bounds[p])
+            block = idx[at], counts[at], np.append(0, np.cumsum(bounds[groups + 1] - bounds[groups])), lengths[groups]
+            scores = iter(map(sigmoid, model._logits(*block)))  # one call for every group of the batch
+            for i, n in zip(batch, (q - p).tolist()):  # E-step
+                doc, label = data[i]
+                text, mask = _retain(doc, group_subsequences(doc, cfg.k), list(islice(scores, n)) if n else None, cfg)
                 masked.append((text, label))
                 filtered += mask.n_filtered
                 groups_total += len(mask)

@@ -9,6 +9,7 @@ benchmark run.
 from __future__ import annotations
 
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -16,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from mgtstack import cli
+from mgtstack import cli, stacked
 from mgtstack.corpus import save_corpus
-from mgtstack.detectors import hashed_features
+from mgtstack.detectors import NGramLogRegModel, TrainConfig, hashed_features
 from mgtstack.synthdata import SynthSpec, synth_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -82,3 +83,26 @@ def test_train_hits_the_text_cache(tmp_path):
     argv = ["train", "--corpus", str(corpus), "--out", str(tmp_path / "run"), "--epochs", "1", "--hash-buckets", "4096"]
     assert cli.main(argv) == 0
     assert hashed_features.cache_info().hits > before
+
+
+def test_train_calls_each_traced_mstep_function_once_per_batch(perfbench, monkeypatch):
+    # spans.py wraps bin_log_likelihood and grad_update wherever they are
+    # bound, stacked's names included, and run.py books their time as
+    # stacked.mstep_s and the rest of train_hard_em as stacked.estep_s.  An
+    # M-step that stopped calling them would zero that split unseen.
+    traced = {(module, attr) for _, module, attr, _ in perfbench["spans"].FUNCTIONS}
+    calls = {name: 0 for name in ("bin_log_likelihood", "grad_update")}
+    for name in calls:
+        assert ("mgtstack.detectors", name) in traced
+        assert getattr(stacked, name) is getattr(importlib.import_module("mgtstack.detectors"), name)
+
+        def counted(*args, _name=name, _original=getattr(stacked, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(stacked, name, counted)
+    docs = synth_corpus(SynthSpec(n_docs=40, seed=11))
+    tc = TrainConfig(epochs=2, batch_size=12)
+    stacked.train_hard_em(NGramLogRegModel.new(n=2, hash_buckets=4096), [(d, d.label) for d in docs], tc)
+    batches = tc.epochs * math.ceil(len(docs) / tc.batch_size)
+    assert calls == {"bin_log_likelihood": batches, "grad_update": batches}

@@ -9,6 +9,7 @@ import os
 import pickle
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,98 @@ def test_score_batch_raises_logits_error_for_first_bad_text():
     assert str(batch.value) == str(per_text.value) == "non-finite logit for text of length 2"
 
 
+# --------------------------------------------------------------------------
+# the column kernel: every batch route's logits
+
+
+KERNEL_VALUE = st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, 0.5, -1.25]) | st.floats(
+    -4.0, 4.0, allow_nan=False
+)
+
+
+@st.composite
+def ragged_blocks(draw):
+    """A block of texts, ``(sizes, weights, bias, idx, counts)``: texts of 0,
+    1 and many terms, or one long text among many one-word texts, which pads
+    apart in its own band, over 8 buckets."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 5, 8, 9, 40, 200]), max_size=14))
+    else:
+        short = draw(st.integers(3, 80))
+        sizes = draw(st.permutations([1] * short + [draw(st.integers(64, 600))]))
+    weights = draw(st.lists(KERNEL_VALUE, min_size=8, max_size=8))
+    terms = sum(sizes)
+    idx = draw(st.lists(st.integers(0, 7), min_size=terms, max_size=terms))
+    counts = draw(st.lists(st.integers(1, 3), min_size=terms, max_size=terms))
+    return sizes, weights, draw(KERNEL_VALUE), idx, counts
+
+
+def per_text_logits(model, idx, counts, bounds, lengths):
+    """``_checked_logit`` of each text in turn, the reference ``_logits`` matches."""
+    terms = model.weights[idx] * counts
+    return [detectors._checked_logit(model.bias, terms[a:b].tolist(), n) for a, b, n in zip(bounds, bounds[1:], lengths)]
+
+
+def hex_or_error(logits):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return [z.hex() for z in logits()]
+        except NumericalError as exc:
+            return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=ragged_blocks())
+@example(block=([], [0.0] * 8, 0.0, [], []))
+@example(block=([0, 2, 0], [-0.0] * 8, -0.0, [0, 1], [1, 2]))  # every logit -0.0
+@example(block=([1, 0, 2, 1], [1e308] * 7 + [-1e308], 0.0, [7, 0, 0, 0], [1, 1, 1, 2]))  # 2e308 overflows
+@example(block=([2, 1], [math.inf, -math.inf] + [0.0] * 6, 0.0, [0, 1, 0], [1, 1, 1]))  # inf - inf is NaN
+@example(block=([1] * 9 + [300] + [1] * 9, [0.5] * 8, math.inf, list(range(8)) * 39 + [0] * 6, [1] * 318))
+def test_column_kernel_matches_checked_logit_bit_for_bit(block):
+    # A column that sums to -0.0, overflows, or meets inf and -inf must read
+    # as the per-text route reads it, and the first bad text be the one named.
+    sizes, weights, bias, idx, counts = block
+    bounds = np.cumsum([0, *sizes])
+    lengths = [100 + i for i in range(len(sizes))]  # names each text in an error
+    model = NGramLogRegModel(1, "word", 8, np.array(weights), bias)
+    idx, counts = np.array(idx, np.intp), np.array(counts, np.intp)
+    expected = hex_or_error(lambda: per_text_logits(model, idx, counts, bounds, lengths))
+    assert hex_or_error(lambda: model._logits(idx, counts, bounds, lengths)) == expected
+
+
+def test_column_kernel_pads_a_long_text_apart_from_short_ones():
+    # One 20000-term text among 1000 one-term texts: one height for all would
+    # be 1001 x 20001 cells (160 MB).  Bands keep what the kernel allocates
+    # within a small multiple of the 8 bytes per term and text.
+    sizes = np.array([1] * 500 + [20000] + [1] * 500)
+    bounds = np.cumsum([0, *sizes])
+    idx, counts = np.arange(bounds[-1]) % 16, np.ones(bounds[-1], np.intp)
+    model = NGramLogRegModel(1, "word", 16, np.linspace(-1.0, 1.0, 16), 0.25)
+    lengths = [1] * sizes.size
+    model._logits(idx, counts, bounds, lengths)  # numpy's one-time allocations stay out of the count
+    tracemalloc.start()
+    try:
+        logits = model._logits(idx, counts, bounds, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * (bounds[-1] + sizes.size), peak
+    assert [z.hex() for z in logits] == [z.hex() for z in per_text_logits(model, idx, counts, bounds, lengths)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (700, 1), (700, 3), (2, 900), (65, 40)])
+def test_numpy_accumulate_adds_down_axis_0_in_order(shape):
+    # _column_sums rests on this numpy property: np.add.accumulate down axis
+    # 0 adds each column's values one at a time, top to bottom, in place or
+    # not, as _running_sum does (np.add.reduce may add a column pairwise).
+    # Magnitudes from 1e-8 to 1e8 make any other order change the bits.
+    rng = np.random.default_rng(sum(shape))
+    cells = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    expected = [detectors._running_sum(column[1:], column[0]).hex() for column in cells.T.tolist()]
+    assert [z.hex() for z in np.add.accumulate(cells, axis=0)[-1]] == expected
+    assert [z.hex() for z in np.add.accumulate(cells, out=cells)[-1]] == expected
+
+
 def test_model_new_validation():
     with pytest.raises(InvalidConfig):
         NGramLogRegModel.new(n=0)
@@ -567,8 +660,13 @@ def test_sparse_grad_update_names_the_dense_bad_index(monkeypatch, bad_score):
     # zz -> 31 and qq -> 2 at 64 buckets.  A score of -1e308 makes zz's
     # residual times its count of 2 overflow while qq stays finite; NaN
     # poisons both, so the lowest touched index is named.
+    # The dense reference scores text by text, grad_update the whole batch.
     scores = {"zz qq zz": bad_score, "qq vv": 0.25}
     monkeypatch.setattr(NGramLogRegModel, "score", lambda self, text: scores[text])
+    batch_scores = detectors._batch_scores
+    monkeypatch.setattr(
+        detectors, "_batch_scores", lambda m, b, *link: (*batch_scores(m, b, *link)[:3], [scores[t] for t, _ in b])
+    )
     model = NGramLogRegModel.new(hash_buckets=64)
     batch = [("qq vv", 0), ("zz qq zz", 1)]
     with np.errstate(over="ignore", invalid="ignore"):
