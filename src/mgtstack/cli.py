@@ -307,7 +307,7 @@ def _cmd_bench(args) -> int:
     # Read every document's spans before timing: splitting prepares the
     # corpus, so neither arm pays for it and the ratio prices the two passes.
     for doc in docs:
-        doc.sentences
+        doc.n_sentences
     chunks = [docs[i : i + BENCH_CHUNK_DOCS] for i in range(0, len(docs), BENCH_CHUNK_DOCS)]
     base_times, stacked_times = [], []
     for _ in range(args.repeats):

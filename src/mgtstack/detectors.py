@@ -325,6 +325,8 @@ class _ChunkFeaturizer:
         of unit codes: text i's distinct buckets, ascending, and their counts
         are ``[bounds[i], bounds[i + 1])`` of ``(idx, counts, bounds)``.  An
         n-gram counts only for the one text its units all lie in."""
+        if not any(texts):  # no unit, so no n-gram: a pass 1 without groups
+            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(len(texts) + 1, np.intp)
         sizes = np.fromiter(map(len, texts), np.intp, len(texts))
         owner = np.repeat(np.arange(len(texts)), sizes)
         owner = np.append(owner, np.full(self.n, -1))  # so an n-gram running past the end is no text's

@@ -7,15 +7,23 @@ statistical tokenizer is used.  A sentence ends at ``.``, ``!``, ``?`` or
 inside paired quotes or brackets, and, for periods, does not close a known
 abbreviation.
 
-Offsets are half-open ``[start, end)`` into the original string.  Spans never
-include the whitespace between sentences, so joining span texts loses only
-inter-sentence whitespace.  A document's groups are half-open ``(lo, hi)``
-ranges of sentence indices, in the same convention.
+The scan finds candidates with a ``str.find`` loop per terminator, makes
+one regex pass over quotes and brackets only for a text holding one, and
+reads the word before a period from a window one character wider than the
+longest guard entry (casefolding never shortens a word).
+
+Offsets are half-open ``[start, end)`` into the original string, and a
+document keeps them as one flat array.  Spans never include the whitespace
+between sentences, so joining span texts loses only inter-sentence
+whitespace.  A document's groups are half-open ``(lo, hi)`` ranges of
+sentence indices, in the same convention.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from importlib import resources
@@ -23,19 +31,33 @@ from typing import ClassVar, NamedTuple, Sequence
 
 from .errors import EmptyDocument, EmptyRetention, InvalidConfig, _check_int
 
-_TERMINATORS = frozenset(".!?…")
-_OPENERS = {"(": ")", "[": "]", "{": "}"}
-_CLOSERS = frozenset(")]}")
-# Every character the scanner has to look at: terminators plus anything that
-# changes quote/bracket state.  Keeping the scan on regex matches instead of
-# single characters keeps segmentation cheap relative to detector scoring.
-_SPECIAL_RE = re.compile(r'[.!?…()\[\]{}"“”]')
+_TERMINATORS = ".!?…"
+_QUOTES = '()[]{}"“”'
+_QUOTE_RE = re.compile(r'[()\[\]{}"“”]')
+_NONSPACE_RE = re.compile(r"\S")
 _TOKEN_TRIM = "\"'([{“‘"
 
 
 class Span(NamedTuple):
     start: int
     end: int
+
+
+class _Offsets(array):
+    """Sentence spans as flat ``start, end`` pairs.  They equal a tuple of
+    the same spans, as the ``Span`` tuples they replace did."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return _spans(self) == other if isinstance(other, tuple) else array.__eq__(self, other)
+
+    def __ne__(self, other):
+        return _spans(self) != other if isinstance(other, tuple) else array.__ne__(self, other)
+
+
+def _spans(offsets: array) -> tuple[Span, ...]:
+    return tuple(map(Span, offsets[::2], offsets[1::2]))
 
 
 @lru_cache(maxsize=8)
@@ -61,12 +83,72 @@ def load_abbreviations(path: str | None = None) -> frozenset[str]:
         return _parse_abbreviations(fh.read())
 
 
-def _token_before(text: str, pos: int) -> str:
-    # The word whose final character sits at pos, leading quotes stripped.
-    a = pos
-    while a > 0 and not text[a - 1].isspace():
-        a -= 1
-    return text[a : pos + 1].lstrip(_TOKEN_TRIM)
+@lru_cache(maxsize=8)
+def _longest(guard: frozenset[str]) -> int:
+    return max(map(len, guard), default=0)
+
+
+def _quoted(text: str) -> list[int]:
+    """Where the text enters and leaves paired quotes or brackets, in order:
+    a terminator between edges ``2i`` and ``2i + 1`` is inside them."""
+    edges: list[int] = []
+    brackets, curly, straight = 0, 0, False
+    for match in _QUOTE_RE.finditer(text):
+        ch, was_inside = match.group(), bool(brackets or curly or straight)
+        if ch == '"':
+            straight = not straight
+        elif ch in "“”":
+            curly = curly + 1 if ch == "“" else max(0, curly - 1)
+        else:
+            brackets = brackets + 1 if ch in "([{" else max(0, brackets - 1)
+        if was_inside != bool(brackets or curly or straight):
+            edges.append(match.start())
+    return edges
+
+
+def _sentence_offsets(text: str, guard: frozenset[str] | None) -> _Offsets:
+    """Flat ``start, end`` pairs of the sentences of ``text``, which must hold
+    a non-whitespace character; ``guard`` None is the packaged list."""
+    guard = _packaged_abbreviations() if guard is None else guard
+    n = len(text)
+    ends: list[int] = []  # one past each terminator that may end a sentence
+    kinds = [ch for ch in _TERMINATORS if ch in text]
+    for ch in kinds:
+        i = text.find(ch)
+        while i >= 0:
+            i += 1
+            if i == n or text[i].isspace():
+                ends.append(i)
+            i = text.find(ch, i)
+    if len(kinds) > 1:
+        ends.sort()
+    if any(ch in text for ch in _QUOTES):
+        edges = _quoted(text)
+        ends = [e for e in ends if not bisect(edges, e) & 1]
+    # Casefolding never shortens a word, so none longer than every entry is one.
+    width = _longest(guard) + 1
+    offsets: list[int] = []
+    start = _NONSPACE_RE.search(text).start()
+    for end in ends:
+        if text[end - 1] == ".":
+            window = text[end - width if end > width else 0 : end]
+            word = window.rsplit(None, 1)[-1]
+            if len(word) == len(window) and end > width and word[0] in _TOKEN_TRIM:
+                a = end - width  # leading quotes may hide a short word's start
+                while a > 0 and not text[a - 1].isspace():
+                    a -= 1
+                word = text[a:end]
+            if word.lstrip(_TOKEN_TRIM).casefold() in guard:
+                continue
+        offsets += start, end
+        start = end + 1  # the whitespace after the terminator
+        if start < n and text[start].isspace():
+            found = _NONSPACE_RE.search(text, start)
+            start = found.start() if found else n
+    # Whatever trails the last break is one final sentence, terminator or not.
+    if start < n:
+        offsets += start, start + len(text[start:].rstrip())
+    return _Offsets("I" if n < 2**32 else "Q", offsets)  # four bytes an offset, up to 2**32 - 1
 
 
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> tuple[Span, ...]:
@@ -77,58 +159,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> t
     """
     if not text or text.isspace():
         raise EmptyDocument("text contains no sentences")
-    guard = _packaged_abbreviations() if abbreviations is None else abbreviations
-
-    n = len(text)
-    breaks: list[int] = []  # index of the terminator that ends each sentence
-    bracket_depth = 0
-    curly_depth = 0
-    in_dquote = False
-    for match in _SPECIAL_RE.finditer(text):
-        ch = match.group()
-        pos = match.start()
-        if ch in _OPENERS:
-            bracket_depth += 1
-        elif ch in _CLOSERS:
-            bracket_depth = max(0, bracket_depth - 1)
-        elif ch == '"':
-            in_dquote = not in_dquote
-        elif ch == "“":
-            curly_depth += 1
-        elif ch == "”":
-            curly_depth = max(0, curly_depth - 1)
-        else:  # terminator
-            if bracket_depth or curly_depth or in_dquote:
-                continue
-            nxt = pos + 1
-            if nxt < n and not text[nxt].isspace():
-                continue
-            if ch == "." and _token_before(text, pos).casefold() in guard:
-                continue
-            breaks.append(pos)
-
-    spans: list[Span] = []
-    cursor = 0
-    for brk in breaks:
-        start = cursor
-        while start <= brk and text[start].isspace():
-            start += 1
-        if start <= brk:
-            spans.append(Span(start, brk + 1))
-        cursor = brk + 1
-    # Whatever trails the last break is one final sentence, terminator or not.
-    tail = text[cursor:]
-    if tail and not tail.isspace():
-        start = cursor
-        while text[start].isspace():
-            start += 1
-        end = n
-        while text[end - 1].isspace():
-            end -= 1
-        spans.append(Span(start, end))
-    if not spans:
-        raise EmptyDocument("text contains no sentences")
-    return tuple(spans)
+    return _spans(_sentence_offsets(text, abbreviations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +173,11 @@ class Document:
     boundary, and the words of the groups, in order, are the document's.
 
     Spans given to the constructor are checked there.  Without them the
-    spans are lazy: the first read of ``sentences`` splits ``text`` with the
-    abbreviation list given to :meth:`from_text` (the packaged one by
-    default) and keeps the result, so a caller that reads only ``text``,
-    such as the base detector's scoring, never splits.  A blank text raises
+    spans are lazy: the first read of ``sentences`` or ``n_sentences``
+    splits ``text`` with the abbreviation list given to :meth:`from_text`
+    (the packaged one by default) and keeps flat offsets, from which each
+    read of ``sentences`` builds its tuple; a caller that reads only
+    ``text``, as the base detector does, never splits.  A blank text raises
     EmptyDocument at construction, with or without spans, so every document
     has at least one sentence; an id or text that UTF-8 cannot encode raises
     InvalidConfig naming the offset.  Documents compare equal when their ids,
@@ -174,33 +206,29 @@ class Document:
                     raise InvalidConfig(f"document {self.id!r}: {name} is not UTF-8 at offset {exc.start}") from None
         if sentences is None:
             return
-        cursor = 0
+        cursor, flat = 0, []
         for i, (start, end) in enumerate(sentences):
             gap = self.text[cursor:start]
             if not cursor <= start < end <= len(self.text) or not (gap.isspace() or (i == 0 and not gap)):
                 raise InvalidConfig(f"document {self.id!r}: sentence span {i} overlaps or skips text")
             cursor = end
+            flat += start, end
         if self.text[cursor:].strip():
             raise InvalidConfig(f"document {self.id!r} has text after its last sentence span")
-        object.__setattr__(self, "sentences", sentences)
+        self.__dict__["sentences"] = _Offsets("I" if len(self.text) < 2**32 else "Q", flat)
 
-    def __getattr__(self, name: str):
-        # Reached only for attributes the instance lacks: unread spans.
-        if name != "sentences":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        spans = split_sentences(self.text, self._abbreviations)
-        object.__setattr__(self, "sentences", spans)
-        return spans
+    @property
+    def _offsets(self) -> _Offsets:
+        # Kept under "sentences", the name the spans are given and read by.
+        offsets = self.__dict__.get("sentences")
+        if offsets is None:
+            offsets = self.__dict__["sentences"] = _sentence_offsets(self.text, self._abbreviations)
+        return offsets
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return (self.id, self.text, self.label, self.sentences) == (
-            other.id,
-            other.text,
-            other.label,
-            other.sentences,
-        )
+        return (self.id, self.text, self.label, self._offsets) == (other.id, other.text, other.label, other._offsets)
 
     def __hash__(self) -> int:
         return hash((self.id, self.text, self.label))
@@ -221,14 +249,14 @@ class Document:
 
     @property
     def n_sentences(self) -> int:
-        return len(self.sentences)
+        return len(self._offsets) // 2
 
     def sentence_texts(self) -> list[str]:
-        return [self.text[s.start : s.end] for s in self.sentences]
+        return [self.text[a:b] for a, b in _spans(self._offsets)]
 
 
-# The InitVar's class default would hide unread spans from __getattr__.
-del Document.sentences
+# In place of the InitVar's class default: the spans, built on each read.
+Document.sentences = property(lambda doc: _spans(doc._offsets), doc="The sentence spans, in order.")
 
 
 def group_subsequences(doc: Document, k: int) -> tuple[tuple[int, int], ...]:
@@ -245,7 +273,7 @@ def group_subsequences(doc: Document, k: int) -> tuple[tuple[int, int], ...]:
 def group_text(doc: Document, group: tuple[int, int]) -> str:
     """Original text of one group, intra-group whitespace preserved."""
     lo, hi = group
-    return doc.text[doc.sentences[lo].start : doc.sentences[hi - 1].end]
+    return doc.text[doc._offsets[2 * lo] : doc._offsets[2 * hi - 1]]
 
 
 def group_texts(doc: Document, groups: Sequence[tuple[int, int]]) -> list[str]:

@@ -98,8 +98,8 @@ def _cut(doc: Document, cfg: FilterConfig) -> tuple:
     groups = group_subsequences(doc, cfg.k)
     if not cfg.budget(len(groups)):
         return doc, groups, doc.text, None
-    spans = doc.sentences
-    cuts = [0, *(c for lo, hi in groups for c in (spans[lo].start, spans[hi - 1].end)), len(doc.text)]
+    offsets = doc._offsets
+    cuts = [0, *(c for lo, hi in groups for c in (offsets[2 * lo], offsets[2 * hi - 1])), len(doc.text)]
     return doc, groups, doc.text, cuts
 
 

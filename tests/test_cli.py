@@ -975,15 +975,15 @@ def test_bench_alternates_arms_chunk_by_chunk(capsys, corpus_path, model_path, m
 
 @pytest.fixture
 def split_calls(monkeypatch):
-    """The texts handed to ``split_sentences``, in call order."""
+    """The texts handed to the sentence scanner, in call order."""
     calls = []
-    split = segmentation.split_sentences
+    split = segmentation._sentence_offsets
 
-    def counting(text, abbreviations=None):
+    def counting(text, guard):
         calls.append(text)
-        return split(text, abbreviations)
+        return split(text, guard)
 
-    monkeypatch.setattr(segmentation, "split_sentences", counting)
+    monkeypatch.setattr(segmentation, "_sentence_offsets", counting)
     return calls
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import math
+import pickle
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,9 @@ from mgtstack import (
     split_sentences,
 )
 from mgtstack.segmentation import group_texts
+from mgtstack.synthdata import SynthSpec, synth_corpus
 
+import baselines
 from conftest import make_doc
 
 # Words safe to build synthetic sentences from: none collides with the
@@ -134,8 +138,11 @@ _PIECES = (
     *"ab c.!?…()[]{}\"“”'‘\n\t",
     *"\x1c\x85\xa0\u2009\u3000ßİ",
     "e.g.", "Dr.", "zz.", "'zz.", "‘qq.", "ss.", "v1.2",
+    "ſt.", '""""""""""st.', "approximately.",
 )
 _GUARDS = (None, frozenset({"zz.", "qq.", "ss."}))
+# Guards with an entry longer than any word, or with one that holds a space.
+_WIDE_GUARDS = (frozenset({"zz.", "q" * 1000 + "."}), frozenset({"zz. qq.", "e.g."}))
 
 
 @st.composite
@@ -174,10 +181,18 @@ def test_splitting_is_deterministic(text):
     assert split_sentences(text) == split_sentences(text)
 
 
-@pytest.mark.parametrize("unit", ["e.g.\xa0", "Dr.\u3000", "zz.\x85"])
+@given(raw_texts(), st.sampled_from(_GUARDS + _WIDE_GUARDS))
+@settings(max_examples=2000, deadline=None)
+def test_split_matches_the_reference_scanner(text, guard):
+    assert split_sentences(text, guard) == baselines.split_sentences(text, guard)
+
+
+@pytest.mark.parametrize("unit", ["e.g.\xa0", "Dr.\u3000", "zz.\x85", '""""""""""st.\xa0'])
 def test_text_without_ascii_space_splits_in_linear_time(unit):
     # Every period here ends a word followed by whitespace, none of it an
     # ASCII space, so each one is a candidate break whose word is looked up.
+    # In the last unit the quotes run back past the longest guard entry, so
+    # its word is scanned back past the window it is first read from.
     def seconds(size: int) -> float:
         text = unit * (size // len(unit))
         gc.disable()  # a collection costs time in the whole heap, not the text
@@ -323,6 +338,31 @@ def test_document_equality_and_hash():
     others = [("e", text, 1), ("d", "One zz. Two qq!", 1), ("d", text, 0), ("d", text, None)]
     assert all(Document(*fields) != given_spans for fields in others)
     assert given_spans != ("d", text, 1, spans)  # only a Document equals a Document
+
+
+def test_pickling_keeps_spans_and_unread_documents():
+    text = "One zz. Two qq. Three."
+    split, unread = Document.from_text("d", text, 1), Document.from_text("d", text, 1)
+    assert split.n_sentences == 3
+    split_copy, unread_copy = pickle.loads(pickle.dumps(split)), pickle.loads(pickle.dumps(unread))
+    assert "sentences" in vars(split_copy) and split_copy.sentences == split.sentences
+    assert "sentences" not in vars(unread_copy)
+    assert unread_copy == split_copy and "sentences" in vars(unread_copy)
+
+
+def test_split_spans_of_a_corpus_fit_in_three_megabytes():
+    # 8000 documents of 18 to 24 sentences: the spans as Span tuples took
+    # about 20 MB, as flat offsets about 2 MB.
+    docs = synth_corpus(SynthSpec(n_docs=8000, seed=31, sentences_per_doc=(18, 24), words_per_sentence=(3, 5)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        n_sentences = sum(doc.n_sentences for doc in docs)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_sentences >= 8000 * 18
+    assert held <= 3_000_000, f"{held / 1e6:.2f} MB for {n_sentences} sentences"
 
 
 def test_document_empty_raises():

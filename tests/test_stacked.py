@@ -510,6 +510,16 @@ def test_chunk_featurizer_blocks_are_each_texts_and_groups_own(docs, feature_mod
     assert got == [own(text[a:b]) for text, a, b in group_spans]
 
 
+@pytest.mark.parametrize("texts", [[], [[]], [[], []]])
+def test_chunk_featurizer_block_of_texts_without_units_is_empty(texts):
+    # A pass 1 without groups has no unit to count; its block has a counted
+    # block's dtypes, and each text owns nothing.
+    featurize = _ChunkFeaturizer(NGramLogRegModel.new(2, "word", 64))
+    block, counted = featurize(texts), featurize(featurize.parts("Aa bb."))
+    assert [a.dtype for a in block] == [a.dtype for a in counted]
+    assert owner_blocks(*block) == [([], [])] * len(texts)
+
+
 def test_logreg_batch_routes_stay_off_the_text_cache(engine_corpus):
     # Held-out scoring never reads or fills hashed_features' cache, whose
     # counters perfbench reads as the hit ratio of training.
